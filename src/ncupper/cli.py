@@ -244,9 +244,9 @@ def run_eval_state(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # NCUPPER_* defaults are parsed while the parser is built
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             run_solve(args)
         elif args.command == "weingarten":

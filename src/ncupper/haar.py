@@ -2,27 +2,46 @@
 cross-check oracle.
 
 A trace word is a cyclic sequence of atoms: Haar-unitary letters ``U`` / its
-adjoint, and fixed signature matrices diag(I_r, -I_{dim-r}). The exact value
-of E[tr w] is computed by the standard pairing expansion for moments of Haar
-unitaries: for each independent unitary symbol, sum over pairs of pairings of
-its starred/unstarred occurrences; each configuration contributes a product
-of Weingarten weights times the product of loop traces induced on the index
+adjoint, and fixed signature matrices D = diag(I_r, -I_{dim-r}). The exact
+value of E[Tr w] comes from the Weingarten expansion: each independent
+unitary symbol with k occurrences of U and of U* pairs them by a row
+permutation sigma and a column permutation tau; a configuration weighs
+Wg(sigma tau^-1, dim) times the product of loop traces induced on the index
 structure of the word. Constants being diagonal +-1 matrices keeps loop
 values integer, so every result is an exact rational.
+
+Block collapse. A symbol is a block symbol when every occurrence of it sits
+in a cyclic triple U D U* with one signature constant D, the shape that a
+hermitian-unitary letter b = U D U* expands to. The inner indices of its
+blocks are joined only to each other, through tau, into one loop per cycle c
+of tau carrying tr(D^|c|) (dim for even |c|, 2r - dim for odd |c|). Summing
+tau out leaves the class function
+
+    G_k(sigma) = sum_tau Wg(sigma tau^-1, dim) prod_{c in tau} tr(D^|c|),
+
+``symcomb.block_weingarten``, so a block symbol costs k! terms instead of
+(k!)^2; its sigma joins the left outer index of block i to the right outer
+index of block sigma(i). Plain symbols keep the (sigma, tau) pairs.
+
+Parity pruning. When a block symbol's G_k vanishes on every cycle type (for
+example odd k with r = dim/2) the moment is 0 and nothing is enumerated.
+The budget counts k! per block symbol and (k!)^2 per plain symbol, after
+this pruning.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError
-from .symcomb import compose, cycle_type, inverse, weingarten
+from .symcomb import (block_weingarten, compose, cycle_type, inverse,
+                      partitions, weingarten)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -145,6 +164,26 @@ def exact_trace_moment(word: Sequence[Atom], dim: int,
     return value
 
 
+def _block_symbols(resolved: tuple,
+                   unstarred: dict[str, list[int]]) -> dict[str, int]:
+    """Symbol -> r for every symbol of a balanced word whose occurrences are
+    all cyclic triples U D U* sharing one signature constant
+    D = diag(I_r, -I_{dim-r})."""
+    L = len(resolved)
+    out = {}
+    for s, P in unstarred.items():
+        rs = set()
+        for p in P:
+            mid, end = resolved[(p + 1) % L], resolved[(p + 2) % L]
+            if mid[0] != "c" or end != ("u", s, True):
+                break
+            rs.add(mid[2])
+        else:
+            if len(rs) == 1:
+                out[s] = rs.pop()
+    return out
+
+
 def _evaluate_moment(resolved: tuple, dim: int, budget: int) -> Fraction:
     L = len(resolved)
     # occurrence lists per unitary symbol
@@ -160,67 +199,102 @@ def _evaluate_moment(resolved: tuple, dim: int, budget: int) -> Fraction:
     for s in symbols:
         if len(unstarred.get(s, ())) != len(starred.get(s, ())):
             return Fraction(0)  # phase invariance kills unbalanced words
-    counts = [len(unstarred[s]) for s in symbols]
+    blocks = _block_symbols(resolved, unstarred)
+    plain = [s for s in symbols if s not in blocks]
+
+    # A block symbol sums its tau side in closed form: the inner gaps of its
+    # blocks only meet each other, so only sigma is enumerated, with weight
+    # G(cycle type of sigma). A G table that is identically zero ends here.
+    tables = {}
+    for s, r in sorted(blocks.items()):
+        tables[s] = {mu: block_weingarten(mu, dim, r)
+                     for mu in partitions(len(unstarred[s]))}
+        if not any(tables[s].values()):
+            return Fraction(0)
+    counts = [len(unstarred[s]) for s in plain]
     n_configs = 1
+    for s in blocks:
+        n_configs *= math.factorial(len(unstarred[s]))
     for k in counts:
-        n_configs *= factorial(k) ** 2
+        n_configs *= math.factorial(k) ** 2
     if n_configs > budget:
         raise BudgetExceededError(
             f"Weingarten expansion needs {n_configs} configurations "
-            f"(budget {budget})")
+            f"(k! per block symbol, (k!)^2 per plain symbol; "
+            f"budget {budget})")
 
-    # base gluing from diagonal constants: D[g_c, g_{c+1}] forces equality
+    block_choices = []
+    inner: set[int] = set()
+    for s, table in tables.items():
+        P = unstarred[s]
+        # left outer gap of block i meets right outer gap of block sigma(i)
+        block_choices.append([
+            (g, [(P[i], (P[si] + 3) % L) for i, si in enumerate(sigma)])
+            for sigma in itertools.permutations(range(len(P)))
+            if (g := table[cycle_type(sigma)])])
+        for p in P:
+            inner.update(((p + 1) % L, (p + 2) % L))
+
+    # base gluing from diagonal constants: D[g_c, g_{c+1}] forces equality;
+    # block constants and their inner gaps are already inside G
+    outer_consts = [c for c in const_pos if c not in inner]
+    outer_gaps = [g for g in range(L) if g not in inner]
     base = _UnionFind(L)
-    for c in const_pos:
+    for c in outer_consts:
         base.union(c, (c + 1) % L)
     base_parent = list(base.parent)
 
     total = Fraction(0)
     perm_lists = [list(itertools.permutations(range(k))) for k in counts]
-    for sigmas in itertools.product(*perm_lists):
-        # row deltas: gap(P[i]) == gap(Q[sigma(i)] + 1)
-        uf_rows = []
-        for s, sigma in zip(symbols, sigmas):
-            P, Q = unstarred[s], starred[s]
-            for i, qi in enumerate(sigma):
-                uf_rows.append((P[i], (Q[qi] + 1) % L))
-        for taus in itertools.product(*perm_lists):
-            uf = _UnionFind(L)
-            uf.parent = list(base_parent)
-            for a, b in uf_rows:
-                uf.union(a, b)
-            weight = Fraction(1)
-            for s, sigma, tau in zip(symbols, sigmas, taus):
+    for choice in itertools.product(*block_choices):
+        block_weight = math.prod((g for g, _ in choice), start=Fraction(1))
+        block_rows = [row for _, rows in choice for row in rows]
+        for sigmas in itertools.product(*perm_lists):
+            # row deltas: gap(P[i]) == gap(Q[sigma(i)] + 1)
+            uf_rows = list(block_rows)
+            for s, sigma in zip(plain, sigmas):
                 P, Q = unstarred[s], starred[s]
-                # column deltas: gap(P[i] + 1) == gap(Q[tau(i)])
-                for i, ti in enumerate(tau):
-                    uf.union((P[i] + 1) % L, Q[ti])
-                weight *= weingarten(cycle_type(compose(sigma, inverse(tau))),
-                                     dim)
-            total += weight * _loop_value(uf, resolved, const_pos, dim, L)
+                for i, qi in enumerate(sigma):
+                    uf_rows.append((P[i], (Q[qi] + 1) % L))
+            for taus in itertools.product(*perm_lists):
+                uf = _UnionFind(L)
+                uf.parent = list(base_parent)
+                for a, b in uf_rows:
+                    uf.union(a, b)
+                weight = block_weight
+                for s, sigma, tau in zip(plain, sigmas, taus):
+                    P, Q = unstarred[s], starred[s]
+                    # column deltas: gap(P[i] + 1) == gap(Q[tau(i)])
+                    for i, ti in enumerate(tau):
+                        uf.union((P[i] + 1) % L, Q[ti])
+                    weight *= weingarten(
+                        cycle_type(compose(sigma, inverse(tau))), dim)
+                total += weight * _loop_value(uf, resolved, outer_consts,
+                                              outer_gaps, dim)
     return total
 
 
-def _loop_value(uf: _UnionFind, resolved: tuple, const_pos: list[int],
-                dim: int, L: int) -> int:
-    """Product over index classes of sum over index values of the signs of
-    the constants sitting on the class; a class with no constants gives dim."""
-    classes: dict[int, list[tuple[int, int]]] = {}
+def _loop_value(uf: _UnionFind, resolved: tuple, consts: list[int],
+                gaps: list[int], dim: int) -> int:
+    """Product over the index classes of the given gaps of the sum over index
+    values of the signs of the given constants sitting on the class; a class
+    with no constants gives dim."""
+    classes: dict[int, list[int]] = {}
     roots = set()
-    for g in range(L):
+    for g in gaps:
         roots.add(uf.find(g))
-    for c in const_pos:
-        classes.setdefault(uf.find(c), []).append((resolved[c][1], resolved[c][2]))
+    for c in consts:
+        classes.setdefault(uf.find(c), []).append(resolved[c][2])
     value = 1
     for root in roots:
-        consts = classes.get(root)
-        if not consts:
+        rs = classes.get(root)
+        if not rs:
             value *= dim
             continue
         s = 0
         for i in range(dim):
             prod = 1
-            for (_, r) in consts:
+            for r in rs:
                 if i >= r:
                     prod = -prod
             s += prod

@@ -122,6 +122,42 @@ def weingarten(mu: Partition, d: int) -> Fraction:
     return value
 
 
+@lru_cache(maxsize=None)
+def block_weingarten(mu: Partition, d: int, r: int) -> Fraction:
+    """G(mu) = sum over tau in S_k of Wg(sigma tau^-1, d) times the product
+    over the cycles c of tau of tr(D^|c|), for any sigma of cycle type mu and
+    D = diag(I_r, -I_{d-r}). It is the weight left by k blocks U D U* of one
+    Haar unitary once their inner indices are summed.
+
+    Evaluated by the character expansion of both factors:
+    G(mu) = sum over lam with at most d rows of
+    chi^lam(mu) s_lam(D) / content_product(lam, d)."""
+    mu = tuple(sorted(mu, reverse=True))
+    if not mu or d < 1 or not 0 <= r <= d:
+        raise InputError("block_weingarten needs a partition of n >= 1, "
+                         "d >= 1 and 0 <= r <= d")
+    total = Fraction(0)
+    for lam in partitions(sum(mu)):
+        if len(lam) <= d:
+            total += (character(lam, mu) * _signature_schur(lam, d, r)
+                      / content_product(lam, d))
+    return total
+
+
+@lru_cache(maxsize=None)
+def _signature_schur(lam: Partition, d: int, r: int) -> Fraction:
+    """Schur polynomial s_lam at the eigenvalues of diag(I_r, -I_{d-r}):
+    sum over nu of chi^lam(nu) p_nu / z_nu, where the power sum p_nu is the
+    product of tr(D^m) = d (m even) or 2r - d (m odd) over the parts m."""
+    total = Fraction(0)
+    for nu in partitions(sum(lam)):
+        p = 1
+        for m in nu:
+            p *= d if m % 2 == 0 else 2 * r - d
+        total += Fraction(character(lam, nu) * p, centralizer_order(nu))
+    return total
+
+
 # --- permutation helpers -------------------------------------------------
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

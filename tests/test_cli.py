@@ -102,8 +102,28 @@ class TestSolveCommand:
 
     def test_budget_exit_3(self):
         r = run_cli("solve", str(bundled_problem_path("chsh")),
-                    "--order", "2", "--budget", "5")
+                    "--order", "2", "--budget", "1")
         assert r.returncode == 3
+
+    def test_env_parse_error_exit_2(self):
+        r = run_cli("solve", str(bundled_problem_path("chsh")),
+                    env_extra={"NCUPPER_ORDER": "x"})
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            "error: bad value for NCUPPER_ORDER: 'x'"]
+
+    def test_chsh_order4_both(self, tmp_path):
+        out = tmp_path / "c4.json"
+        r = run_cli("solve", str(bundled_problem_path("chsh")),
+                    "--order", "4", "--hierarchy", "both", "--out", str(out))
+        assert r.returncode == 0
+        rec = json.loads(out.read_text())
+        tsirelson = 0.5 - 2 ** 0.5 / 2  # true minimum of the objective
+        for key in ("lambda", "eta"):
+            vals = [float(row[key]["value"]) for row in rec["orders"]]
+            assert len(vals) == 4
+            assert all(b <= a for a, b in zip(vals, vals[1:]))
+            assert all(v >= tsirelson for v in vals)
 
     def test_env_var_mirroring(self, tmp_path):
         out = tmp_path / "e.json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from ncupper.errors import BudgetExceededError, InputError
 from ncupper.haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
                           exact_trace_moment, mc_trace_moment,
                           mc_trace_moments)
+from ncupper.symcomb import compose, cycle_type, inverse, weingarten
 
 U = UnitaryAtom
 D = ConstantAtom
@@ -58,6 +60,24 @@ class TestExactTraceMoment:
         with pytest.raises(BudgetExceededError):
             exact_trace_moment(word, 2, budget=10)
 
+    def test_budget_counts_sigma_only_for_blocks(self):
+        # 8 blocks of one symbol enumerate 8! = 40320 configurations
+        word = conj_sig("a") * 8
+        with pytest.raises(BudgetExceededError, match="needs 40320 "):
+            exact_trace_moment(word, 3, {"D": SignatureMatrix(3, 1)},
+                               budget=40319)
+        # 12! exceeds the default budget: refused before any enumeration
+        with pytest.raises(BudgetExceededError, match="needs 479001600 "):
+            exact_trace_moment(conj_sig("a") * 12, 3,
+                               {"D": SignatureMatrix(3, 1)})
+
+    def test_parity_pruning_precedes_budget(self):
+        # an odd number of blocks with a traceless D is zero without any
+        # enumeration, so even budget 1 suffices
+        word = conj_sig("a") * 7
+        assert exact_trace_moment(word, 4, {"D": SignatureMatrix(4, 2)},
+                                  budget=1) == 0
+
     def test_cyclic_invariance(self):
         rng = random.Random(13)
         sig = SignatureMatrix(3, 2)
@@ -99,6 +119,117 @@ def _random_word(rng, max_len):
         else:
             word.append(U(rng.choice("ab"), rng.random() < 0.5))
     return word
+
+
+def _oracle_moment(word, dim, constants):
+    """Joint Weingarten expansion over all (sigma, tau) pairs of every
+    unitary symbol, Prod_s (k_s!)^2 configurations, with no block collapse."""
+    L = len(word)
+    P, Q = {}, {}
+    for pos, a in enumerate(word):
+        if isinstance(a, U):
+            (Q if a.star else P).setdefault(a.symbol, []).append(pos)
+    symbols = sorted(set(P) | set(Q))
+    if any(len(P.get(s, ())) != len(Q.get(s, ())) for s in symbols):
+        return Fraction(0)
+    perms = [list(itertools.permutations(range(len(P[s])))) for s in symbols]
+    total = Fraction(0)
+    for sigmas in itertools.product(*perms):
+        for taus in itertools.product(*perms):
+            parent = list(range(L))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            def union(a, b):
+                parent[find(a)] = find(b)
+
+            for pos, a in enumerate(word):
+                if isinstance(a, D):
+                    union(pos, (pos + 1) % L)
+            weight = Fraction(1)
+            for s, sigma, tau in zip(symbols, sigmas, taus):
+                for i in range(len(sigma)):
+                    union(P[s][i], (Q[s][sigma[i]] + 1) % L)
+                    union((P[s][i] + 1) % L, Q[s][tau[i]])
+                weight *= weingarten(cycle_type(compose(sigma, inverse(tau))),
+                                     dim)
+            classes = {find(g): [] for g in range(L)}
+            for pos, a in enumerate(word):
+                if isinstance(a, D):
+                    classes[find(pos)].append(constants[a.name])
+            value = 1
+            for sigs in classes.values():
+                value *= sum(math.prod(m.sign(i) for m in sigs)
+                             for i in range(dim))
+            total += weight * value
+    return total
+
+
+class TestBlockCollapse:
+    """The engine sums U D U* block symbols over sigma only; the joint
+    (sigma, tau) oracle must agree exactly."""
+
+    def test_signature_words(self):
+        sigs = [SignatureMatrix(d, d // 2) for d in (2, 4, 6)]
+        sigs += [SignatureMatrix(d, r) for d in (1, 2, 3)
+                 for r in range(d + 1) if (d, r) != (2, 1)]
+        for sig in sigs:
+            for n in range(1, 5):
+                for seq in itertools.product("ab", repeat=n):
+                    word = [x for s in seq for x in conj_sig(s)]
+                    assert exact_trace_moment(word, sig.dim, {"D": sig}) == \
+                        _oracle_moment(word, sig.dim, {"D": sig}), (seq, sig)
+
+    def test_mixed_words(self):
+        rng = random.Random(2024)
+        fixed = [
+            # symbol a both inside and outside a block
+            conj_sig("a") + [U("a"), U("b"), U("a", True), U("b", True)],
+            # blocks of one symbol around two different constants
+            [U("a"), D("D"), U("a", True), U("a"), D("E"), U("a", True)],
+            # a stray constant between blocks
+            conj_sig("a") + [D("E")] + conj_sig("b") + conj_sig("a"),
+        ]
+        words = fixed + [_random_mixed_word(rng) for _ in range(120)]
+        for word in words:
+            dim = rng.randrange(1, 4)
+            consts = {"D": SignatureMatrix(dim, rng.randrange(dim + 1)),
+                      "E": SignatureMatrix(dim, rng.randrange(dim + 1))}
+            assert exact_trace_moment(word, dim, consts) == \
+                _oracle_moment(word, dim, consts), (word, consts)
+
+
+def _random_mixed_word(rng):
+    """Blocks, bare U / U*, and stray constants over symbols a, b, with at
+    most three unstarred occurrences per symbol."""
+    word = []
+    budget = {"a": 3, "b": 3}
+    for _ in range(rng.randrange(1, 6)):
+        s = rng.choice("ab")
+        x = rng.random()
+        if x < 0.45 and budget[s]:
+            budget[s] -= 1
+            word += [U(s), D(rng.choice("DDE")), U(s, True)]
+        elif x < 0.8:
+            star = rng.random() < 0.5
+            if not star:
+                if not budget[s]:
+                    continue
+                budget[s] -= 1
+            word.append(U(s, star))
+        else:
+            word.append(D(rng.choice("DE")))
+    # balance most words so that the expansion does real work
+    if rng.random() < 0.8:
+        for s in "ab":
+            n = sum(1 if a.star else -1 for a in word
+                    if isinstance(a, U) and a.symbol == s)
+            for _ in range(-n):
+                word.insert(rng.randrange(len(word) + 1), U(s, True))
+    return word or conj_sig("a")
 
 
 class TestScalarOracle:

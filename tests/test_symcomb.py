@@ -5,9 +5,9 @@ from math import factorial
 import pytest
 
 from ncupper.errors import InputError
-from ncupper.symcomb import (centralizer_order, character, compose,
-                             content_product, cycle_type, dimension, inverse,
-                             partitions, weingarten)
+from ncupper.symcomb import (block_weingarten, centralizer_order, character,
+                             compose, content_product, cycle_type, dimension,
+                             inverse, partitions, weingarten)
 
 
 def brute_partitions(n):
@@ -169,3 +169,31 @@ class TestWeingarten:
                 for j in range(size):
                     s = sum(GW[i][k] * G[k][j] for k in range(size))
                     assert s == G[i][j]
+
+
+class TestBlockWeingarten:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_tau_sum(self, n):
+        # G(sigma) = sum_tau Wg(sigma tau^-1, d) prod_{cycles c of tau}
+        # tr(D^|c|), for every sigma, at every signature up to d = 4
+        perms = list(itertools.permutations(range(n)))
+        for d in range(1, 5):
+            for r in range(d + 1):
+                for sigma in perms:
+                    s = Fraction(0)
+                    for tau in perms:
+                        loops = 1
+                        for c in cycle_type(tau):
+                            loops *= d if c % 2 == 0 else 2 * r - d
+                        wg = weingarten(
+                            cycle_type(compose(sigma, inverse(tau))), d)
+                        s += wg * loops
+                    assert block_weingarten(cycle_type(sigma), d, r) == s
+
+    def test_traceless_odd_vanishes(self):
+        for mu in [(1,), (3,), (2, 1), (1, 1, 1), (5,), (3, 1, 1)]:
+            assert block_weingarten(mu, 4, 2) == 0
+
+    def test_rejects_bad_signature(self):
+        with pytest.raises(InputError):
+            block_weingarten((2,), 2, 3)
