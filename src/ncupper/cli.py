@@ -6,9 +6,10 @@ Subcommands:
   mc-check    compare exact vs Monte Carlo trace moments for a word
   eval-state  evaluate the problem's state on a word
 
-Every flag is mirrored by an NCUPPER_<NAME> environment variable; explicit
-flags win. Exit codes: 0 success, 2 input error, 3 budget exceeded,
-4 numerical failure.
+Every optional flag takes its default from an NCUPPER_<NAME> environment
+variable (NCUPPER_ORDER for --order); explicit flags win. The required flags,
+weingarten --n/--d and mc-check --dim, have no mirror. Exit codes: 0 success,
+2 input error, 3 budget exceeded, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -69,12 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=_env_default("TOL", float, DEFAULT_TOL))
     solve.add_argument("--budget", type=int,
                        default=_env_default("BUDGET", int, DEFAULT_BUDGET))
-    solve.add_argument("--samples", type=int,
-                       default=_env_default("SAMPLES", int, 10 ** 5))
     solve.add_argument("--seed", type=int,
                        default=_env_default("SEED", int, 0))
-    solve.add_argument("--threads", type=int,
-                       default=_env_default("THREADS", int, 1))
     solve.add_argument("--out", default=_env_default("OUT", str))
     solve.add_argument("--format", choices=("table", "machine"),
                        default=_env_default("FORMAT", str, "table"))
@@ -125,8 +122,7 @@ def run_solve(args) -> dict:
     if hierarchy in ("lambda", "both"):
         lam_rep = lambda_sequence(problem.objective, problem.algebra,
                                   problem.subset, family, d_max,
-                                  tol=args.tol, budget=args.budget,
-                                  threads=args.threads)
+                                  tol=args.tol, budget=args.budget)
     if hierarchy in ("eta", "both"):
         eta_rep = eta_sequence(problem.objective, problem.algebra, family,
                                d_max, tol=args.tol, budget=args.budget)

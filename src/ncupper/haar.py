@@ -108,15 +108,16 @@ def _star_reverse(resolved: tuple) -> tuple:
 
 
 def _cyclic_min(t: tuple) -> tuple:
-    reprs = [t[i:] + t[:i] for i in range(len(t))]
-    return min(reprs, key=repr)
+    return min(t[i:] + t[:i] for i in range(len(t)))
 
 
 def _cache_key(resolved: tuple, dim: int) -> tuple:
-    # fold both trace cyclicity and conjugate symmetry into the key
+    # fold both trace cyclicity and conjugate symmetry into the key; plain
+    # tuple order is total on resolved atoms, since their first field ("u"
+    # or "c") fixes the types of the rest
     a = _cyclic_min(resolved)
     b = _cyclic_min(_star_reverse(resolved))
-    return (min(a, b, key=repr), dim)
+    return (min(a, b), dim)
 
 
 class _UnionFind:

@@ -11,8 +11,8 @@ Moment entries are exact rationals; floats appear only in the eigensolve.
 
 from __future__ import annotations
 
+import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,10 +39,7 @@ class MomentMatrix:
         return len(self.basis)
 
     def to_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
-
-    def digest_source(self) -> str:
-        return ";".join(",".join(str(x) for x in row) for row in self.entries)
+        return _to_float(self.entries)
 
 
 @dataclass
@@ -75,8 +72,8 @@ StateFamily = Callable[[int], StateSpec]
 
 
 def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
-                  algebra: AlgebraSpec, budget: int | None = None,
-                  threads: int = 1) -> MomentMatrix:
+                  algebra: AlgebraSpec, budget: int | None = None
+                  ) -> MomentMatrix:
     """M(f) = [phi(u* f v)] over the basis words, exact and symmetric."""
     if not is_self_adjoint(f, algebra):
         raise InputError("moment_matrix requires f = f*")
@@ -86,22 +83,12 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
     n = len(basis)
     stars = [star(NCPolynomial.from_word(u), algebra) for u in basis]
     ufv = [multiply(su, f, algebra) for su in stars]
-
-    def entry(ij):
-        i, j = ij
-        p = multiply(ufv[i], NCPolynomial.from_word(basis[j]), algebra)
-        return evaluate_poly(state, p, algebra, budget)
-
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(entry, pairs))
-    else:
-        values = [entry(ij) for ij in pairs]
     entries = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, values):
-        entries[i][j] = v
-        entries[j][i] = v
+    for i in range(n):
+        for j in range(i, n):
+            p = multiply(ufv[i], NCPolynomial.from_word(basis[j]), algebra)
+            entries[i][j] = entries[j][i] = evaluate_poly(state, p, algebra,
+                                                          budget)
     return MomentMatrix(basis, entries)
 
 
@@ -160,15 +147,10 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
                         kernel_residual=kernel_residual, tol=tol)
 
 
-def describe_state(state: StateSpec) -> str:
-    return repr(state)
-
-
 def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
                     subset: Sequence[str], state_family: StateFamily,
                     d_max: int, tol: float = DEFAULT_TOL,
-                    budget: int | None = None,
-                    threads: int = 1) -> HierarchyReport:
+                    budget: int | None = None) -> HierarchyReport:
     """lambda_d for d = 1..d_max: pencil of M_{G,d}(f) against M_{G,d}(1)
     under the order-d state."""
     if d_max < 1:
@@ -178,15 +160,15 @@ def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
         t0 = time.perf_counter()
         basis = words_up_to(algebra, subset, d)
         psi = state_family(d)
-        A = moment_matrix(f, psi, basis, algebra, budget, threads)
-        B = moment_matrix(NCPolynomial.one(), psi, basis, algebra, budget,
-                          threads)
+        A = moment_matrix(f, psi, basis, algebra, budget)
+        B = moment_matrix(NCPolynomial.one(), psi, basis, algebra, budget)
         pr = max_shift(A.to_float(), B.to_float(), tol)
         rec = OrderRecord(d=d, basis_size=len(basis),
-                          state_description=describe_state(psi),
+                          state_description=repr(psi),
                           lam=pr.lam, lam_report=pr,
                           wall_time=time.perf_counter() - t0,
-                          pencil_digest=_digest(A, B))
+                          pencil_digest=_sha16(_rows_source(A.entries) + "|"
+                                               + _rows_source(B.entries)))
         report.orders.append(rec)
     return report
 
@@ -206,25 +188,25 @@ def eta_sequence(f: NCPolynomial, algebra: AlgebraSpec,
         m = scalar_moments(f, psi, 2 * d + 1, algebra, budget, word_budget)
         A = [[m[i + j + 1] for j in range(d + 1)] for i in range(d + 1)]
         B = [[m[i + j] for j in range(d + 1)] for i in range(d + 1)]
-        Af = np.array([[float(x) for x in row] for row in A])
-        Bf = np.array([[float(x) for x in row] for row in B])
-        pr = max_shift(Af, Bf, tol)
+        pr = max_shift(_to_float(A), _to_float(B), tol)
         rec = OrderRecord(d=d, basis_size=d + 1,
-                          state_description=describe_state(psi),
+                          state_description=repr(psi),
                           eta=pr.lam, eta_report=pr,
                           wall_time=time.perf_counter() - t0,
-                          pencil_digest=_digest_rows(A) + "|" + _digest_rows(B))
+                          pencil_digest=_sha16(_rows_source(A)) + "|"
+                          + _sha16(_rows_source(B)))
         report.orders.append(rec)
     return report
 
 
-def _digest_rows(rows) -> str:
-    import hashlib
-    src = ";".join(",".join(str(x) for x in row) for row in rows)
-    return hashlib.sha256(src.encode()).hexdigest()[:16]
+def _to_float(rows) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in rows])
 
 
-def _digest(A: MomentMatrix, B: MomentMatrix) -> str:
-    import hashlib
-    src = A.digest_source() + "|" + B.digest_source()
+def _rows_source(rows) -> str:
+    """Exact text of a rational matrix, the input of a pencil digest."""
+    return ";".join(",".join(str(x) for x in row) for row in rows)
+
+
+def _sha16(src: str) -> str:
     return hashlib.sha256(src.encode()).hexdigest()[:16]

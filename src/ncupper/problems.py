@@ -94,6 +94,17 @@ def _parse_algebra(obj) -> AlgebraSpec:
 
 
 def parse_problem_dict(data: dict) -> ProblemFile:
+    """Validate and parse a decoded problem file. Every malformed field,
+    whatever its type or value, raises InputError."""
+    try:
+        return _parse_problem_fields(data)
+    except (LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as e:
+        raise InputError(
+            f"malformed problem file ({type(e).__name__}: {e})") from e
+
+
+def _parse_problem_fields(data: dict) -> ProblemFile:
     if not isinstance(data, dict):
         raise InputError("problem file must hold a JSON object")
     for field in ("algebra", "objective"):

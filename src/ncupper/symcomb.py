@@ -95,9 +95,7 @@ def dimension(lam: Partition) -> int:
     return character(lam, (1,) * n) if n else 1
 
 
-_WG_CACHE: dict[tuple[Partition, int], Fraction] = {}
-
-
+@lru_cache(maxsize=None)
 def weingarten(mu: Partition, d: int) -> Fraction:
     """Exact unitary Weingarten function Wg(mu, d), Moore-Penrose
     (pseudo-inverse) convention: the character sum runs only over
@@ -106,10 +104,6 @@ def weingarten(mu: Partition, d: int) -> Fraction:
     mu = tuple(sorted(mu, reverse=True))
     if not mu or d < 1:
         raise InputError("weingarten needs a partition of n >= 1 and d >= 1")
-    key = (mu, d)
-    cached = _WG_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = sum(mu)
     total = Fraction(0)
     for lam in partitions(n):
@@ -117,9 +111,7 @@ def weingarten(mu: Partition, d: int) -> Fraction:
             continue
         total += Fraction(dimension(lam) * character(lam, mu),
                           content_product(lam, d))
-    value = total / factorial(n)
-    _WG_CACHE[key] = value
-    return value
+    return total / factorial(n)
 
 
 @lru_cache(maxsize=None)

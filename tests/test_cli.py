@@ -1,9 +1,12 @@
+import copy
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ncupper.cli import main
 from ncupper.problems import (bundled_problem_path, parse_problem,
                               parse_problem_dict, parse_word_tokens,
                               serialize_problem)
@@ -19,6 +22,36 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "ncupper.cli", *args],
                           capture_output=True, text=True, env=env)
+
+
+_BUNDLED_DICTS = {name: json.loads(bundled_problem_path(name).read_text())
+                  for name in BUNDLED}
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["x", "1/0", "0", "-1", "haar", "haar-increasing",
+                       "combination", "tensor", "free-product",
+                       "canonical-trace", "unitary", "b1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "dims", "terms", "weight",
+                                       "state", "factors", "components",
+                                       "generators", "id", "gen"]),
+                      inner, max_size=3),
+    max_leaves=6)
+
+
+def _field_paths(node, path=()):
+    """Key/index path of every value nested in node, node's own () first."""
+    paths = [path]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        paths += _field_paths(child, path + (key,))
+    return paths
 
 
 class TestParsing:
@@ -55,6 +88,21 @@ class TestParsing:
         }
         with pytest.raises(InputError):
             parse_problem_dict(data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_mutated_field_raises_only_input_error(self, data):
+        name = data.draw(st.sampled_from(BUNDLED))
+        holder = {"problem": copy.deepcopy(_BUNDLED_DICTS[name])}
+        path = data.draw(st.sampled_from(_field_paths(holder)[1:]))
+        parent = holder
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+        try:
+            parse_problem_dict(holder["problem"])
+        except InputError:
+            pass
 
     def test_word_tokens(self):
         p = parse_problem(bundled_problem_path("free-unitaries"))
@@ -99,6 +147,22 @@ class TestSolveCommand:
     def test_missing_file_exit_2(self):
         r = run_cli("solve", "/nonexistent.problem")
         assert r.returncode == 2
+
+    def test_malformed_orders_exit_2(self, tmp_path):
+        data = json.loads(bundled_problem_path("chsh").read_text())
+        data["orders"] = ["a"]
+        path = tmp_path / "bad.problem"
+        path.write_text(json.dumps(data))
+        r = run_cli("solve", str(path), "--order", "1")
+        assert r.returncode == 2
+        assert len(r.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", [("--threads", "2"), ("--samples", "5")])
+    def test_removed_solve_flags_exit_2(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(bundled_problem_path("chsh")), "--order", "1",
+                  *flag])
+        assert exc.value.code == 2
 
     def test_budget_exit_3(self):
         r = run_cli("solve", str(bundled_problem_path("chsh")),
@@ -154,16 +218,6 @@ class TestDeterminism:
             out = tmp_path / f"{name}{i}.json"
             r = run_cli("solve", str(bundled_problem_path(name)),
                         "--order", "2", "--seed", "0", "--out", str(out))
-            assert r.returncode == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
-    def test_threads_change_nothing_in_machine_output(self, tmp_path):
-        outs = []
-        for t in ("1", "4"):
-            out = tmp_path / f"t{t}.json"
-            r = run_cli("solve", str(bundled_problem_path("chsh")),
-                        "--order", "2", "--threads", t, "--out", str(out))
             assert r.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]

@@ -109,6 +109,9 @@ class TestExactTraceMoment:
         key = _cache_key(_resolved_atoms(tuple(rotated), {"D": sig}), 3)
         assert key in _MOMENT_CACHE
         assert exact_trace_moment(rotated, 3, {"D": sig}) is v1
+        adjoint = [U(a.symbol, not a.star) if isinstance(a, U) else a
+                   for a in reversed(rotated)]
+        assert _cache_key(_resolved_atoms(tuple(adjoint), {"D": sig}), 3) == key
 
 
 def _random_word(rng, max_len):

@@ -225,10 +225,3 @@ class TestSequences:
             eta1 = eta_sequence(shifted, prob.algebra, fam, 1)
             assert eta1.orders[0].eta == pytest.approx(
                 eta0.orders[0].eta + float(c), abs=1e-10)
-
-    def test_threads_same_result(self, chsh):
-        state = chsh.state_family()(1)
-        basis = words_up_to(chsh.algebra, chsh.subset, 1)
-        a1 = moment_matrix(chsh.objective, state, basis, chsh.algebra, threads=1)
-        a4 = moment_matrix(chsh.objective, state, basis, chsh.algebra, threads=4)
-        assert a1.entries == a4.entries
