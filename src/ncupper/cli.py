@@ -26,8 +26,7 @@ from .algebra import NCPolynomial, Word
 from .errors import NCUpperError, InputError
 from .haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
                    exact_trace_moment, mc_trace_moment, DEFAULT_BUDGET)
-from .hierarchy import (DEFAULT_TOL, DEFAULT_WORD_BUDGET, eta_sequence,
-                        lambda_sequence)
+from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
 from .problems import (ProblemFile, parse_problem, parse_word_tokens,
                        serialize_problem)
 from .states import evaluate_state

@@ -27,6 +27,13 @@ Parity pruning. When a block symbol's G_k vanishes on every cycle type (for
 example odd k with r = dim/2) the moment is 0 and nothing is enumerated.
 The budget counts k! per block symbol and (k!)^2 per plain symbol, after
 this pruning.
+
+Memo. ``exact_trace_moment`` maps a word to the representative of its class
+under trace cyclicity and adjoint symmetry (tr w* = tr w, the constants
+being real diagonal) and evaluates that with an ``lru_cache``d engine keyed
+on (representative, dim, budget), for the life of the process. The budget is
+part of the key, so a moment computed under a large budget is still refused
+under a smaller one.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -111,13 +119,13 @@ def _cyclic_min(t: tuple) -> tuple:
     return min(t[i:] + t[:i] for i in range(len(t)))
 
 
-def _cache_key(resolved: tuple, dim: int) -> tuple:
-    # fold both trace cyclicity and conjugate symmetry into the key; plain
-    # tuple order is total on resolved atoms, since their first field ("u"
-    # or "c") fixes the types of the rest
+def _cache_key(resolved: tuple) -> tuple:
+    """The smallest rotation of the word or of its adjoint, a resolved word
+    with the same moment. Plain tuple order is total on resolved atoms,
+    since their first field ("u" or "c") fixes the types of the rest."""
     a = _cyclic_min(resolved)
     b = _cyclic_min(_star_reverse(resolved))
-    return (min(a, b), dim)
+    return min(a, b)
 
 
 class _UnionFind:
@@ -139,9 +147,6 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-_MOMENT_CACHE: dict[tuple, Fraction] = {}
-
-
 def exact_trace_moment(word: Sequence[Atom], dim: int,
                        constants: Mapping[str, SignatureMatrix] | None = None,
                        budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -156,13 +161,7 @@ def exact_trace_moment(word: Sequence[Atom], dim: int,
     for a in resolved:
         if a[0] == "c" and a[1] != dim:
             raise InputError(f"constant of dim {a[1]} used at dim {dim}")
-    key = _cache_key(resolved, dim)
-    cached = _MOMENT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = _evaluate_moment(resolved, dim, budget)
-    _MOMENT_CACHE[key] = value
-    return value
+    return _evaluate_moment(_cache_key(resolved), dim, budget)
 
 
 def _block_symbols(resolved: tuple,
@@ -185,6 +184,7 @@ def _block_symbols(resolved: tuple,
     return out
 
 
+@lru_cache(maxsize=None)
 def _evaluate_moment(resolved: tuple, dim: int, budget: int) -> Fraction:
     L = len(resolved)
     # occurrence lists per unitary symbol

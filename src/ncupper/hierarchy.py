@@ -23,6 +23,7 @@ from .algebra import (AlgebraSpec, NCPolynomial, Word, is_self_adjoint,
                       multiply, star, words_up_to)
 from .errors import (BudgetExceededError, IndefiniteBError, InputError,
                      KernelViolationError)
+from .haar import DEFAULT_BUDGET
 from .states import StateSpec, evaluate_poly
 
 DEFAULT_TOL = 1e-9
@@ -54,7 +55,6 @@ class PencilReport:
 class OrderRecord:
     d: int
     basis_size: int
-    state_description: str
     lam: float | None = None
     eta: float | None = None
     lam_report: PencilReport | None = None
@@ -72,7 +72,7 @@ StateFamily = Callable[[int], StateSpec]
 
 
 def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
-                  algebra: AlgebraSpec, budget: int | None = None
+                  algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET
                   ) -> MomentMatrix:
     """M(f) = [phi(u* f v)] over the basis words, exact and symmetric."""
     if not is_self_adjoint(f, algebra):
@@ -93,7 +93,7 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
 
 
 def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
-                   algebra: AlgebraSpec, budget: int | None = None,
+                   algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET,
                    word_budget: int = DEFAULT_WORD_BUDGET) -> list[Fraction]:
     """[phi(f^0), ..., phi(f^max_power)], exact."""
     if not is_self_adjoint(f, algebra):
@@ -150,7 +150,7 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
 def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
                     subset: Sequence[str], state_family: StateFamily,
                     d_max: int, tol: float = DEFAULT_TOL,
-                    budget: int | None = None) -> HierarchyReport:
+                    budget: int = DEFAULT_BUDGET) -> HierarchyReport:
     """lambda_d for d = 1..d_max: pencil of M_{G,d}(f) against M_{G,d}(1)
     under the order-d state."""
     if d_max < 1:
@@ -164,7 +164,6 @@ def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
         B = moment_matrix(NCPolynomial.one(), psi, basis, algebra, budget)
         pr = max_shift(A.to_float(), B.to_float(), tol)
         rec = OrderRecord(d=d, basis_size=len(basis),
-                          state_description=repr(psi),
                           lam=pr.lam, lam_report=pr,
                           wall_time=time.perf_counter() - t0,
                           pencil_digest=_sha16(_rows_source(A.entries) + "|"
@@ -175,7 +174,7 @@ def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
 
 def eta_sequence(f: NCPolynomial, algebra: AlgebraSpec,
                  state_family: StateFamily, d_max: int,
-                 tol: float = DEFAULT_TOL, budget: int | None = None,
+                 tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
                  word_budget: int = DEFAULT_WORD_BUDGET) -> HierarchyReport:
     """eta_d for d = 1..d_max: Hankel pencil (phi(f^{i+j+1})) against
     (phi(f^{i+j})), i, j = 0..d, under the order-d state."""
@@ -190,7 +189,6 @@ def eta_sequence(f: NCPolynomial, algebra: AlgebraSpec,
         B = [[m[i + j] for j in range(d + 1)] for i in range(d + 1)]
         pr = max_shift(_to_float(A), _to_float(B), tol)
         rec = OrderRecord(d=d, basis_size=d + 1,
-                          state_description=repr(psi),
                           eta=pr.lam, eta_report=pr,
                           wall_time=time.perf_counter() - t0,
                           pencil_digest=_sha16(_rows_source(A)) + "|"

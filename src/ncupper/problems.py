@@ -69,8 +69,6 @@ def parse_word_tokens(text: str, algebra: AlgebraSpec) -> Word:
 
 
 def _parse_objective(entries, algebra: AlgebraSpec) -> NCPolynomial:
-    if not isinstance(entries, list):
-        raise InputError("objective must be a list of terms")
     p = NCPolynomial.zero()
     for t in entries:
         try:
@@ -93,15 +91,35 @@ def _parse_algebra(obj) -> AlgebraSpec:
     return AlgebraSpec(gens)
 
 
+# Fields that hold a JSON list wherever they appear; a string or an object
+# in their place would otherwise be iterated as a sequence of characters or
+# keys.
+_LIST_FIELDS = frozenset({"orders", "subset", "dims", "generators", "terms",
+                          "components", "objective", "word"})
+
+
 def parse_problem_dict(data: dict) -> ProblemFile:
     """Validate and parse a decoded problem file. Every malformed field,
     whatever its type or value, raises InputError."""
+    _require_lists(data)
     try:
         return _parse_problem_fields(data)
     except (LookupError, TypeError, ValueError, AttributeError,
             ArithmeticError) as e:
         raise InputError(
             f"malformed problem file ({type(e).__name__}: {e})") from e
+
+
+def _require_lists(node):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in _LIST_FIELDS and not isinstance(value, list):
+                raise InputError(f"{key!r} must be a JSON list, "
+                                 f"not {type(value).__name__}")
+            _require_lists(value)
+    elif isinstance(node, list):
+        for value in node:
+            _require_lists(value)
 
 
 def _parse_problem_fields(data: dict) -> ProblemFile:
@@ -135,7 +153,11 @@ def parse_problem(path: str | Path) -> ProblemFile:
     if not path.exists():
         raise InputError(f"no such problem file: {path}")
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read problem file {path}: {e}") from e
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"problem file {path} is not valid JSON: {e}") from e
     return parse_problem_dict(data)

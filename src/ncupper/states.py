@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize, multiply)
 from .errors import InputError
-from .haar import ConstantAtom, SignatureMatrix, UnitaryAtom, exact_trace_moment
+from .haar import (DEFAULT_BUDGET, ConstantAtom, SignatureMatrix, UnitaryAtom,
+                   exact_trace_moment)
 
 
 @dataclass(frozen=True)
@@ -65,36 +67,31 @@ class FreeProductState:
 StateSpec = Union[CanonicalTrace, HaarTrace, Combination, TensorProductState,
                   FreeProductState]
 
-_EVAL_CACHE: dict[tuple, Fraction] = {}
-
 
 def evaluate_state(state: StateSpec, word: Word, algebra: AlgebraSpec,
-                   budget: int | None = None) -> Fraction:
-    """Exact value of the state on a canonical word."""
-    word = canonicalize(word, algebra)
-    key = (state, word, algebra)
-    cached = _EVAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = _eval(state, word, algebra, budget)
-    _EVAL_CACHE[key] = value
-    return value
+                   budget: int = DEFAULT_BUDGET) -> Fraction:
+    """Exact value of the state on any word, canonicalized here. Memoized
+    per (state, canonical word, algebra, budget) for the life of the
+    process, so a smaller budget is enforced even on a word seen before."""
+    return _eval(state, canonicalize(word, algebra), algebra, budget)
 
 
 def evaluate_poly(state: StateSpec, p: NCPolynomial, algebra: AlgebraSpec,
-                  budget: int | None = None) -> Fraction:
+                  budget: int = DEFAULT_BUDGET) -> Fraction:
     return sum((c * evaluate_state(state, w, algebra, budget)
                 for w, c in p.terms.items()), Fraction(0))
 
 
+@lru_cache(maxsize=None)
 def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
-          budget: int | None) -> Fraction:
+          budget: int) -> Fraction:
+    # word is canonical here, and so is each tensor factor's sub-word of it
     if isinstance(state, CanonicalTrace):
         return Fraction(1) if word.is_identity else Fraction(0)
     if isinstance(state, HaarTrace):
         return _eval_haar(state, word, algebra, budget)
     if isinstance(state, Combination):
-        return sum((w * evaluate_state(s, word, algebra, budget)
+        return sum((w * _eval(s, word, algebra, budget)
                     for w, s in state.terms), Fraction(0))
     if isinstance(state, TensorProductState):
         return _eval_tensor(state, word, algebra, budget)
@@ -104,18 +101,17 @@ def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
 
 
 def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
-               budget: int | None) -> Fraction:
+               budget: int) -> Fraction:
     if word.is_identity:
         return Fraction(1)
     kinds = {algebra.generator(l.gen).kind for l in word.letters}
     if len(kinds) > 1:
         raise InputError("HaarTrace cannot mix generator kinds in one word")
     kind = kinds.pop()
-    kwargs = {} if budget is None else {"budget": budget}
     if kind == "unitary":
         atoms = [UnitaryAtom(l.gen, l.star) for l in word.letters]
         dim = state.dim
-        return exact_trace_moment(atoms, dim, {}, **kwargs) / dim
+        return exact_trace_moment(atoms, dim, {}, budget) / dim
     if kind == "hermitian-unitary":
         dim = 2 * state.dim
         sig = SignatureMatrix(dim, state.dim)
@@ -123,12 +119,12 @@ def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
         for l in word.letters:
             atoms += [UnitaryAtom(l.gen), ConstantAtom("D"),
                       UnitaryAtom(l.gen, star=True)]
-        return exact_trace_moment(atoms, dim, {"D": sig}, **kwargs) / dim
+        return exact_trace_moment(atoms, dim, {"D": sig}, budget) / dim
     raise InputError(f"HaarTrace does not support kind {kind!r}")
 
 
 def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,
-                 budget: int | None) -> Fraction:
+                 budget: int) -> Fraction:
     states = dict(state.factors)
     missing = set(algebra.factor_tags) - set(states)
     if missing:
@@ -137,12 +133,12 @@ def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,
     for tag, s in sorted(states.items()):
         sub = Word(tuple(l for l in word.letters
                          if algebra.generator(l.gen).factor == tag))
-        value *= evaluate_state(s, sub, algebra, budget)
+        value *= _eval(s, sub, algebra, budget)
     return value
 
 
 def _eval_free(state: FreeProductState, word: Word, algebra: AlgebraSpec,
-               budget: int | None) -> Fraction:
+               budget: int) -> Fraction:
     comp_of: dict[str, int] = {}
     covered = set()
     for ci, (gens, _) in enumerate(state.components):

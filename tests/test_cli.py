@@ -2,6 +2,7 @@ import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,15 @@ from ncupper.problems import (bundled_problem_path, parse_problem,
 from ncupper.errors import InputError
 
 BUNDLED = ["chsh", "reflection", "free-unitaries", "commutator-example"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env_extra=None):
+    """Run the checked-out ncupper CLI in a child interpreter."""
     import os
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "ncupper.cli", *args],
@@ -104,6 +109,21 @@ class TestParsing:
         except InputError:
             pass
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(orders="31"),
+        lambda d: d.update(subset="b1"),
+        lambda d: d.update(state={"kind": "haar-increasing", "dims": "12"}),
+        lambda d: d.update(state={"kind": "free-product", "components": [
+            {"generators": "b1", "state": {"kind": "canonical-trace"}},
+            {"generators": ["b2", "c1", "c2"],
+             "state": {"kind": "canonical-trace"}}]}),
+    ], ids=["orders", "subset", "dims", "free-product-generators"])
+    def test_string_for_list_rejected(self, edit):
+        data = copy.deepcopy(_BUNDLED_DICTS["chsh"])
+        edit(data)
+        with pytest.raises(InputError, match="must be a JSON list"):
+            parse_problem_dict(data)
+
     def test_word_tokens(self):
         p = parse_problem(bundled_problem_path("free-unitaries"))
         w = parse_word_tokens("u1 u2* u1", p.algebra)
@@ -157,6 +177,16 @@ class TestSolveCommand:
         assert r.returncode == 2
         assert len(r.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_problem_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.problem"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        assert main(["solve", str(path), "--order", "1"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     @pytest.mark.parametrize("flag", [("--threads", "2"), ("--samples", "5")])
     def test_removed_solve_flags_exit_2(self, flag):
         with pytest.raises(SystemExit) as exc:
@@ -168,6 +198,13 @@ class TestSolveCommand:
         r = run_cli("solve", str(bundled_problem_path("chsh")),
                     "--order", "2", "--budget", "1")
         assert r.returncode == 3
+
+    def test_budget_honoured_after_cached_solve(self, capsys):
+        # the moments of the first run are memoized; the second run must
+        # still be refused under its smaller budget
+        chsh = str(bundled_problem_path("chsh"))
+        assert main(["solve", chsh, "--order", "2"]) == 0
+        assert main(["solve", chsh, "--order", "2", "--budget", "1"]) == 3
 
     def test_env_parse_error_exit_2(self):
         r = run_cli("solve", str(bundled_problem_path("chsh")),

@@ -60,6 +60,15 @@ class TestExactTraceMoment:
         with pytest.raises(BudgetExceededError):
             exact_trace_moment(word, 2, budget=10)
 
+    def test_budget_guard_after_cached_value(self):
+        # test_budget_guard's word with k = 3 (36 configurations, where k = 6
+        # takes seconds under the default budget): a memoized moment is
+        # still refused under a smaller budget
+        word = [U("a")] * 3 + [U("a", True)] * 3
+        assert exact_trace_moment(word, 2) == 2
+        with pytest.raises(BudgetExceededError):
+            exact_trace_moment(word, 2, budget=10)
+
     def test_budget_counts_sigma_only_for_blocks(self):
         # 8 blocks of one symbol enumerate 8! = 40320 configurations
         word = conj_sig("a") * 8
@@ -101,17 +110,19 @@ class TestExactTraceMoment:
                 exact_trace_moment(rev, 2, {"D": sig})
 
     def test_cache_coherence(self):
-        from ncupper.haar import _MOMENT_CACHE, _cache_key, _resolved_atoms
+        from ncupper.haar import _cache_key, _evaluate_moment, _resolved_atoms
         sig = SignatureMatrix(3, 1)
         word = [U("a"), D("D"), U("b"), U("a", True), U("b", True)]
         v1 = exact_trace_moment(word, 3, {"D": sig})
         rotated = word[2:] + word[:2]
-        key = _cache_key(_resolved_atoms(tuple(rotated), {"D": sig}), 3)
-        assert key in _MOMENT_CACHE
+        key = _cache_key(_resolved_atoms(tuple(rotated), {"D": sig}))
+        assert key == _cache_key(_resolved_atoms(tuple(word), {"D": sig}))
+        hits = _evaluate_moment.cache_info().hits
         assert exact_trace_moment(rotated, 3, {"D": sig}) is v1
+        assert _evaluate_moment.cache_info().hits == hits + 1
         adjoint = [U(a.symbol, not a.star) if isinstance(a, U) else a
                    for a in reversed(rotated)]
-        assert _cache_key(_resolved_atoms(tuple(adjoint), {"D": sig}), 3) == key
+        assert _cache_key(_resolved_atoms(tuple(adjoint), {"D": sig})) == key
 
 
 def _random_word(rng, max_len):
