@@ -208,9 +208,6 @@ class NCPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __repr__(self):
         if not self.terms:
             return "0"

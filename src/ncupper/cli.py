@@ -110,12 +110,18 @@ def _input_hash(problem: ProblemFile, flags: dict) -> str:
     return hashlib.sha256(src.encode()).hexdigest()
 
 
+def _order(args, problem: ProblemFile) -> int:
+    """--order (or NCUPPER_ORDER) if given, else the problem's top order."""
+    d = max(problem.orders) if args.order is None else args.order
+    if d < 1:
+        raise InputError("--order must be >= 1")
+    return d
+
+
 def run_solve(args) -> dict:
     problem = parse_problem(args.problem)
     hierarchy = args.hierarchy or problem.hierarchy
-    d_max = args.order if args.order else max(problem.orders)
-    if d_max < 1:
-        raise InputError("--order must be >= 1")
+    d_max = _order(args, problem)
     family = problem.state_family(args.dims)
     lam_rep = eta_rep = None
     if hierarchy in ("lambda", "both"):
@@ -232,7 +238,7 @@ def run_mc_check(args):
 def run_eval_state(args):
     problem = parse_problem(args.problem)
     word = parse_word_tokens(args.word, problem.algebra)
-    d = args.order if args.order else max(problem.orders)
+    d = _order(args, problem)
     state = problem.state_family(args.dims)(d)
     value = evaluate_state(state, word, problem.algebra, budget=args.budget)
     print(f"{value} = {_sig6(float(value))}")

@@ -6,9 +6,15 @@ adjoint, and fixed signature matrices D = diag(I_r, -I_{dim-r}). The exact
 value of E[Tr w] comes from the Weingarten expansion: each independent
 unitary symbol with k occurrences of U and of U* pairs them by a row
 permutation sigma and a column permutation tau; a configuration weighs
-Wg(sigma tau^-1, dim) times the product of loop traces induced on the index
-structure of the word. Constants being diagonal +-1 matrices keeps loop
-values integer, so every result is an exact rational.
+Wg(sigma tau^-1, dim) times the product of its loop traces. Gap g, the index
+between atoms g - 1 and g, is the row index of atom g and the column index
+of atom g - 1. With P[i] and Q[j] the positions of the i-th U and the j-th
+U* of a symbol, a configuration gives every gap exactly one successor: gap
+g + 1 for a constant at g (its diagonal forces equality), Q[sigma(i)] + 1
+for P[i], and P[i] + 1 for Q[tau(i)]. The loops are the cycles of this
+successor map; a cycle without constants gives dim, one with constants the
+sum over index values of their signs. Constants being diagonal +-1 matrices
+keeps loop values integer, so every result is an exact rational.
 
 Block collapse. A symbol is a block symbol when every occurrence of it sits
 in a cyclic triple U D U* with one signature constant D, the shape that a
@@ -20,8 +26,10 @@ tau out leaves the class function
     G_k(sigma) = sum_tau Wg(sigma tau^-1, dim) prod_{c in tau} tr(D^|c|),
 
 ``symcomb.block_weingarten``, so a block symbol costs k! terms instead of
-(k!)^2; its sigma joins the left outer index of block i to the right outer
-index of block sigma(i). Plain symbols keep the (sigma, tau) pairs.
+(k!)^2; its sigma makes the right outer gap of block sigma(i) the successor
+of the left outer gap of block i. Outer gaps only lead to outer gaps, so the
+cycles walked are those of the outer gaps. Plain symbols keep the
+(sigma, tau) pairs.
 
 Parity pruning. When a block symbol's G_k vanishes on every cycle type (for
 example odd k with r = dim/2) the moment is 0 and nothing is enumerated.
@@ -34,6 +42,10 @@ being real diagonal) and evaluates that with an ``lru_cache``d engine keyed
 on (representative, dim, budget), for the life of the process. The budget is
 part of the key, so a moment computed under a large budget is still refused
 under a smaller one.
+
+Word check. ``exact_trace_moment`` and the Monte Carlo oracle
+``mc_trace_moments`` check a word through one helper (dim >= 1, a non-empty
+word, known constants of size dim) and both work on its resolved atoms.
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ from .symcomb import (block_weingarten, compose, cycle_type, inverse,
                       partitions, weingarten)
 
 DEFAULT_BUDGET = 10 ** 8
+_MC_CHUNK = 20000  # fixes the Monte Carlo sample stream
 
 
 @dataclass(frozen=True)
@@ -66,7 +79,6 @@ class ConstantAtom:
 
 
 Atom = UnitaryAtom | ConstantAtom
-TraceWord = tuple[Atom, ...]
 
 
 @dataclass(frozen=True)
@@ -80,16 +92,19 @@ class SignatureMatrix:
         if not (0 <= self.r <= self.dim):
             raise InputError("signature needs 0 <= r <= dim")
 
-    @property
-    def trace(self) -> int:
-        return 2 * self.r - self.dim
-
     def sign(self, i: int) -> int:
         return 1 if i < self.r else -1
 
 
-def _resolved_atoms(word: TraceWord,
-                    constants: Mapping[str, SignatureMatrix]) -> tuple:
+def _checked_atoms(word: Sequence[Atom], dim: int,
+                   constants: Mapping[str, SignatureMatrix] | None) -> tuple:
+    """The word as resolved atoms, ("u", symbol, star) or ("c", dim, r),
+    after checking that it is a non-empty trace word at matrix size dim."""
+    if dim < 1:
+        raise InputError("dim must be >= 1")
+    if not word:
+        raise InputError("trace word must be non-empty")
+    constants = constants or {}
     out = []
     for a in word:
         if isinstance(a, UnitaryAtom):
@@ -99,6 +114,8 @@ def _resolved_atoms(word: TraceWord,
                 m = constants[a.name]
             except KeyError:
                 raise InputError(f"missing constant {a.name!r}") from None
+            if m.dim != dim:
+                raise InputError(f"constant of dim {m.dim} used at dim {dim}")
             out.append(("c", m.dim, m.r))
         else:
             raise InputError(f"bad atom {a!r}")
@@ -128,39 +145,12 @@ def _cache_key(resolved: tuple) -> tuple:
     return min(a, b)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def exact_trace_moment(word: Sequence[Atom], dim: int,
                        constants: Mapping[str, SignatureMatrix] | None = None,
                        budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact value of E[tr w(U_1, ..., U_k, D_1, ...)] over independent Haar
     unitaries of size dim, with fixed signature-matrix constants."""
-    constants = constants or {}
-    if dim < 1:
-        raise InputError("dim must be >= 1")
-    if not word:
-        raise InputError("trace word must be non-empty")
-    resolved = _resolved_atoms(tuple(word), constants)
-    for a in resolved:
-        if a[0] == "c" and a[1] != dim:
-            raise InputError(f"constant of dim {a[1]} used at dim {dim}")
+    resolved = _checked_atoms(word, dim, constants)
     return _evaluate_moment(_cache_key(resolved), dim, budget)
 
 
@@ -190,12 +180,9 @@ def _evaluate_moment(resolved: tuple, dim: int, budget: int) -> Fraction:
     # occurrence lists per unitary symbol
     unstarred: dict[str, list[int]] = {}
     starred: dict[str, list[int]] = {}
-    const_pos: list[int] = []
     for pos, a in enumerate(resolved):
         if a[0] == "u":
             (starred if a[2] else unstarred).setdefault(a[1], []).append(pos)
-        else:
-            const_pos.append(pos)
     symbols = sorted(set(unstarred) | set(starred))
     for s in symbols:
         if len(unstarred.get(s, ())) != len(starred.get(s, ())):
@@ -224,71 +211,68 @@ def _evaluate_moment(resolved: tuple, dim: int, budget: int) -> Fraction:
             f"(k! per block symbol, (k!)^2 per plain symbol; "
             f"budget {budget})")
 
+    # Successor map of the gaps: g + 1 is right for a constant in every
+    # configuration; each configuration overwrites the unitary gaps. Block
+    # constants and their inner gaps are already inside G, and outer gaps
+    # only lead to outer gaps, so inner ones are never visited.
+    nxt = [(g + 1) % L for g in range(L)]
+    signs = [a[2] if a[0] == "c" else None for a in resolved]
     block_choices = []
     inner: set[int] = set()
     for s, table in tables.items():
         P = unstarred[s]
-        # left outer gap of block i meets right outer gap of block sigma(i)
+        # left outer gap of block i -> right outer gap of block sigma(i)
         block_choices.append([
             (g, [(P[i], (P[si] + 3) % L) for i, si in enumerate(sigma)])
             for sigma in itertools.permutations(range(len(P)))
             if (g := table[cycle_type(sigma)])])
         for p in P:
             inner.update(((p + 1) % L, (p + 2) % L))
-
-    # base gluing from diagonal constants: D[g_c, g_{c+1}] forces equality;
-    # block constants and their inner gaps are already inside G
-    outer_consts = [c for c in const_pos if c not in inner]
     outer_gaps = [g for g in range(L) if g not in inner]
-    base = _UnionFind(L)
-    for c in outer_consts:
-        base.union(c, (c + 1) % L)
-    base_parent = list(base.parent)
 
     total = Fraction(0)
     perm_lists = [list(itertools.permutations(range(k))) for k in counts]
     for choice in itertools.product(*block_choices):
         block_weight = math.prod((g for g, _ in choice), start=Fraction(1))
-        block_rows = [row for _, rows in choice for row in rows]
+        for _, rows in choice:
+            for a, b in rows:
+                nxt[a] = b
         for sigmas in itertools.product(*perm_lists):
-            # row deltas: gap(P[i]) == gap(Q[sigma(i)] + 1)
-            uf_rows = list(block_rows)
+            # rows: gap P[i] -> gap Q[sigma(i)] + 1
             for s, sigma in zip(plain, sigmas):
                 P, Q = unstarred[s], starred[s]
                 for i, qi in enumerate(sigma):
-                    uf_rows.append((P[i], (Q[qi] + 1) % L))
+                    nxt[P[i]] = (Q[qi] + 1) % L
             for taus in itertools.product(*perm_lists):
-                uf = _UnionFind(L)
-                uf.parent = list(base_parent)
-                for a, b in uf_rows:
-                    uf.union(a, b)
                 weight = block_weight
                 for s, sigma, tau in zip(plain, sigmas, taus):
                     P, Q = unstarred[s], starred[s]
-                    # column deltas: gap(P[i] + 1) == gap(Q[tau(i)])
+                    # columns: gap Q[tau(i)] -> gap P[i] + 1
                     for i, ti in enumerate(tau):
-                        uf.union((P[i] + 1) % L, Q[ti])
+                        nxt[Q[ti]] = (P[i] + 1) % L
                     weight *= weingarten(
                         cycle_type(compose(sigma, inverse(tau))), dim)
-                total += weight * _loop_value(uf, resolved, outer_consts,
-                                              outer_gaps, dim)
+                total += weight * _loop_value(nxt, signs, outer_gaps, dim)
     return total
 
 
-def _loop_value(uf: _UnionFind, resolved: tuple, consts: list[int],
-                gaps: list[int], dim: int) -> int:
-    """Product over the index classes of the given gaps of the sum over index
-    values of the signs of the given constants sitting on the class; a class
-    with no constants gives dim."""
-    classes: dict[int, list[int]] = {}
-    roots = set()
-    for g in gaps:
-        roots.add(uf.find(g))
-    for c in consts:
-        classes.setdefault(uf.find(c), []).append(resolved[c][2])
+def _loop_value(nxt: list[int], signs: list[int | None], gaps: list[int],
+                dim: int) -> int:
+    """Product over the cycles of the successor map through the given gaps
+    of the sum over index values of the signs of the constants (r, or None
+    for a unitary) at the gaps of the cycle; a cycle with no constants gives
+    dim."""
+    seen = [False] * len(nxt)
     value = 1
-    for root in roots:
-        rs = classes.get(root)
+    for g in gaps:
+        if seen[g]:
+            continue
+        rs = []
+        while not seen[g]:
+            seen[g] = True
+            if signs[g] is not None:
+                rs.append(signs[g])
+            g = nxt[g]
         if not rs:
             value *= dim
             continue
@@ -316,49 +300,35 @@ def haar_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-def _signature_array(m: SignatureMatrix) -> np.ndarray:
-    d = np.ones(m.dim)
-    d[m.r:] = -1.0
-    return np.diag(d).astype(complex)
-
-
 def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
                      constants: Mapping[str, SignatureMatrix] | None = None,
-                     samples: int = 10 ** 5, seed: int = 0,
-                     chunk: int = 20000) -> list[tuple[float, float]]:
+                     samples: int = 10 ** 5,
+                     seed: int = 0) -> list[tuple[float, float]]:
     """Monte Carlo (estimate, stderr) of tr w for several words sharing one
-    Haar sample stream. Deterministic given the seed."""
-    constants = constants or {}
+    Haar sample stream, drawn _MC_CHUNK unitaries per symbol at a time.
+    Deterministic given the seed."""
     if samples < 2:
         raise InputError("need samples >= 2")
-    words = [tuple(w) for w in words]
-    symbols = sorted({a.symbol for w in words for a in w
-                      if isinstance(a, UnitaryAtom)})
-    const_arrays = {}
-    for w in words:
-        for a in w:
-            if isinstance(a, ConstantAtom) and a.name not in const_arrays:
-                if a.name not in constants:
-                    raise InputError(f"missing constant {a.name!r}")
-                m = constants[a.name]
-                if m.dim != dim:
-                    raise InputError(f"constant of dim {m.dim} used at dim {dim}")
-                const_arrays[a.name] = _signature_array(m)
+    words = [_checked_atoms(w, dim, constants) for w in words]
+    symbols = sorted({a[1] for w in words for a in w if a[0] == "u"})
+    const_arrays = {
+        a: np.diag(np.where(np.arange(dim) < a[2], 1.0, -1.0)).astype(complex)
+        for w in words for a in w if a[0] == "c"}
     rng = np.random.default_rng(seed)
     sums = np.zeros(len(words))
     sqsums = np.zeros(len(words))
     done = 0
     while done < samples:
-        n = min(chunk, samples - done)
+        n = min(_MC_CHUNK, samples - done)
         us = {s: haar_sample(rng, n, dim) for s in symbols}
         for wi, w in enumerate(words):
             acc = None
             for a in w:
-                if isinstance(a, UnitaryAtom):
-                    m = us[a.symbol]
-                    m = m.conj().transpose(0, 2, 1) if a.star else m
+                if a[0] == "u":
+                    m = us[a[1]]
+                    m = m.conj().transpose(0, 2, 1) if a[2] else m
                 else:
-                    m = np.broadcast_to(const_arrays[a.name], (n, dim, dim))
+                    m = np.broadcast_to(const_arrays[a], (n, dim, dim))
                 acc = m if acc is None else acc @ m
             tr = np.einsum("...ii->...", acc).real
             sums[wi] += tr.sum()

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +39,17 @@ def random_word(rng: random.Random, algebra: AlgebraSpec, max_len: int) -> Word:
         star = rng.random() < 0.5 and g.kind != "hermitian-unitary"
         letters.append(Letter(g.id, star))
     return Word(tuple(letters))
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_cli(*args, env_extra=None, cwd=None):
+    """Run the checked-out ncupper CLI in a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run([sys.executable, "-m", "ncupper.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=cwd)

@@ -7,8 +7,6 @@ import functools
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -24,6 +22,8 @@ from ncupper.states import (CanonicalTrace, FreeProductState, HaarTrace,
                             TensorProductState, evaluate_state,
                             make_increasing)
 from ncupper.symcomb import compose, cycle_type, inverse, weingarten
+
+from conftest import run_cli
 
 FMIN_CHSH = (1 - 2 ** 0.5) / 2  # quantum bound in the bundled normalization
 
@@ -259,11 +259,8 @@ def test_criterion_8_free_product(unitary_algebra):
 @_report(9, "byte-identical machine output")
 def test_criterion_9_determinism(tmp_path):
     def run(out, *extra):
-        r = subprocess.run(
-            [sys.executable, "-m", "ncupper.cli", "solve",
-             str(bundled_problem_path("chsh")), "--order", "2",
-             "--seed", "0", "--out", str(out), *extra],
-            capture_output=True, text=True)
+        r = run_cli("solve", str(bundled_problem_path("chsh")), "--order", "2",
+                    "--seed", "0", "--out", str(out), *extra)
         assert r.returncode == 0
         return out.read_bytes()
 

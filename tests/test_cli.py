@@ -1,8 +1,5 @@
 import copy
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,21 +10,9 @@ from ncupper.problems import (bundled_problem_path, parse_problem,
                               serialize_problem)
 from ncupper.errors import InputError
 
+from conftest import run_cli
+
 BUNDLED = ["chsh", "reflection", "free-unitaries", "commutator-example"]
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def run_cli(*args, env_extra=None):
-    """Run the checked-out ncupper CLI in a child interpreter."""
-    import os
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [SRC, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "ncupper.cli", *args],
-                          capture_output=True, text=True, env=env)
-
 
 _BUNDLED_DICTS = {name: json.loads(bundled_problem_path(name).read_text())
                   for name in BUNDLED}
@@ -193,6 +178,14 @@ class TestSolveCommand:
             main(["solve", str(bundled_problem_path("chsh")), "--order", "1",
                   *flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["solve"], ["eval-state", "b1"]])
+    def test_order_zero_exit_2(self, capsys, command):
+        argv = [command[0], str(bundled_problem_path("chsh")), *command[1:],
+                "--order", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --order must be >= 1"]
 
     def test_budget_exit_3(self):
         r = run_cli("solve", str(bundled_problem_path("chsh")),

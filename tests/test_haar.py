@@ -110,19 +110,19 @@ class TestExactTraceMoment:
                 exact_trace_moment(rev, 2, {"D": sig})
 
     def test_cache_coherence(self):
-        from ncupper.haar import _cache_key, _evaluate_moment, _resolved_atoms
+        from ncupper.haar import _cache_key, _checked_atoms, _evaluate_moment
         sig = SignatureMatrix(3, 1)
         word = [U("a"), D("D"), U("b"), U("a", True), U("b", True)]
         v1 = exact_trace_moment(word, 3, {"D": sig})
         rotated = word[2:] + word[:2]
-        key = _cache_key(_resolved_atoms(tuple(rotated), {"D": sig}))
-        assert key == _cache_key(_resolved_atoms(tuple(word), {"D": sig}))
+        key = _cache_key(_checked_atoms(rotated, 3, {"D": sig}))
+        assert key == _cache_key(_checked_atoms(word, 3, {"D": sig}))
         hits = _evaluate_moment.cache_info().hits
         assert exact_trace_moment(rotated, 3, {"D": sig}) is v1
         assert _evaluate_moment.cache_info().hits == hits + 1
         adjoint = [U(a.symbol, not a.star) if isinstance(a, U) else a
                    for a in reversed(rotated)]
-        assert _cache_key(_resolved_atoms(tuple(adjoint), {"D": sig})) == key
+        assert _cache_key(_checked_atoms(adjoint, 3, {"D": sig})) == key
 
 
 def _random_word(rng, max_len):
@@ -294,6 +294,11 @@ class TestMonteCarlo:
         b = mc_trace_moment([U("a"), U("b"), U("a", True), U("b", True)], 2,
                             samples=5000, seed=42)
         assert a == b
+
+    @pytest.mark.parametrize("words, dim", [([[]], 2), ([[U("a")]], 0)])
+    def test_bad_word_or_dim(self, words, dim):
+        with pytest.raises(InputError):
+            mc_trace_moments(words, dim, samples=10)
 
     def test_exact_vs_mc_signatures(self):
         sig = SignatureMatrix(4, 2)

@@ -4,14 +4,14 @@ the parser and the program so the documentation cannot drift."""
 import json
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from ncupper.cli import build_parser
 from ncupper.problems import parse_problem_dict
+
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -71,8 +71,7 @@ def test_chsh_example_prints_quoted_bounds():
     quoted = {name: [float(x.replace("−", "-")) for x in values.split(",")]
               for name, values in re.findall(r"(λ|η) = \(([^)]*)\)", example)}
     assert set(quoted) == {"λ", "η"}
-    r = subprocess.run([sys.executable, "-m", "ncupper.cli", *argv[1:]],
-                       capture_output=True, text=True, cwd=ROOT)
+    r = run_cli(*argv[1:], cwd=ROOT)
     assert r.returncode == 0, r.stderr
     rows = [line.split() for line in r.stdout.splitlines()[1:]]
     assert [float(row[1]) for row in rows] == pytest.approx(quoted["λ"],
