@@ -60,7 +60,7 @@ class AlgebraSpec:
         if len(set(ids)) != len(ids):
             raise InputError("generator ids must be unique")
         tags = sorted({g.factor for g in self.generators})
-        if tags and tags != list(range(tags[-1] + 1)):
+        if tags != list(range(len(tags))):
             raise InputError("factor tags must form a contiguous range from 0")
 
     @cached_property

@@ -46,6 +46,18 @@ under a smaller one.
 Word check. ``exact_trace_moment`` and the Monte Carlo oracle
 ``mc_trace_moments`` check a word through one helper (dim >= 1, a non-empty
 word, known constants of size dim) and both work on its resolved atoms.
+
+Monte Carlo. ``mc_trace_moments`` draws one batch of Haar unitaries per
+symbol and chunk, then walks the distinct words in sorted order as a prefix
+trie over their resolved atoms: a word starts from the deepest kept product
+of a prefix it shares with the word before it, multiplies in all but its
+last atom, and takes the trace of the product with that atom as an einsum
+over the two factors (for a last U* over their real and imaginary parts, so
+no conjugate is copied). A prefix product stays alive only while a later
+word in the sorted order starts from it, and never when its last atom is a
+constant: a constant is a diagonal +-1 matrix, so multiplying by it is an
+exact column scaling that costs less to redo than the memory to keep. The
+sample stream and the per-word sums do not depend on the order of the words.
 """
 
 from __future__ import annotations
@@ -309,38 +321,95 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
     Deterministic given the seed."""
     if samples < 2:
         raise InputError("need samples >= 2")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     words = [_checked_atoms(w, dim, constants) for w in words]
-    symbols = sorted({a[1] for w in words for a in w if a[0] == "u"})
-    const_arrays = {
-        a: np.diag(np.where(np.arange(dim) < a[2], 1.0, -1.0)).astype(complex)
-        for w in words for a in w if a[0] == "c"}
+    order = sorted(set(words))
+    kept = _reused_depths(order)
+    symbols = sorted({a[1] for w in order for a in w if a[0] == "u"})
+    diags = {a: np.where(np.arange(dim) < a[2], 1.0, -1.0)
+             for w in order for a in w if a[0] == "c"}
     rng = np.random.default_rng(seed)
-    sums = np.zeros(len(words))
-    sqsums = np.zeros(len(words))
+    sums = np.zeros(len(order))
+    sqsums = np.zeros(len(order))
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
         us = {s: haar_sample(rng, n, dim) for s in symbols}
-        for wi, w in enumerate(words):
-            acc = None
-            for a in w:
-                if a[0] == "u":
-                    m = us[a[1]]
-                    m = m.conj().transpose(0, 2, 1) if a[2] else m
-                else:
-                    m = np.broadcast_to(const_arrays[a], (n, dim, dim))
-                acc = m if acc is None else acc @ m
-            tr = np.einsum("...ii->...", acc).real
+        eye = np.broadcast_to(np.eye(dim, dtype=complex), (n, dim, dim))
+        stack = []  # (depth, product of that prefix), depths increasing
+        for wi, (w, keep) in enumerate(zip(order, kept)):
+            depth, acc = stack[-1] if stack else (0, None)
+            stack = [e for e in stack if e[0] in keep]
+            for k in range(depth, len(w) - 1):
+                acc = _mc_times(acc, w[k], us, diags, eye)
+                if k + 1 in keep:
+                    stack.append((k + 1, acc))
+            tr = _mc_trace(eye if acc is None else acc, w[-1], us, diags)
             sums[wi] += tr.sum()
             sqsums[wi] += (tr * tr).sum()
         done += n
-    out = []
-    for wi in range(len(words)):
+    stats = {}
+    for wi, w in enumerate(order):
         mean = sums[wi] / samples
         var = max(sqsums[wi] / samples - mean * mean, 0.0)
         stderr = np.sqrt(var / (samples - 1))
-        out.append((float(mean), float(stderr)))
-    return out
+        stats[w] = (float(mean), float(stderr))
+    return [stats[w] for w in words]
+
+
+def _mc_times(acc: np.ndarray | None, atom: tuple, us: dict, diags: dict,
+              eye: np.ndarray) -> np.ndarray:
+    """acc times one resolved atom, per sample; None is the identity eye. A
+    constant scales the columns of acc. A conjugate copy lives only until
+    the return, so it never adds to the kept prefix products."""
+    if atom[0] == "c":
+        return (eye if acc is None else acc) * diags[atom]
+    m = us[atom[1]]
+    if atom[2]:
+        m = m.conj().transpose(0, 2, 1)
+    return m if acc is None else acc @ m
+
+
+def _mc_trace(acc: np.ndarray, atom: tuple, us: dict,
+              diags: dict) -> np.ndarray:
+    """Real part of tr(acc atom), per sample, without forming the product."""
+    if atom[0] == "c":
+        return np.einsum("nii,i->n", acc.real, diags[atom])
+    m = us[atom[1]]
+    if atom[2]:  # tr(acc m*) = sum_ij acc_ij conj(m_ij)
+        return (np.einsum("nij,nij->n", acc.real, m.real)
+                + np.einsum("nij,nij->n", acc.imag, m.imag))
+    return np.einsum("nij,nji->n", acc, m).real
+
+
+def _reused_depths(order: list[tuple]) -> list[set[int]]:
+    """For each word of a sorted list of distinct resolved words, the prefix
+    lengths whose products a later word starts from. Word j > i shares with
+    word i the shortest common prefix of the consecutive pairs between them
+    and starts from the deepest kept product within it. A word computes no
+    product past its second-to-last atom, and a product whose last atom is a
+    constant is rebuilt by a column scaling instead of kept."""
+    out = []
+    later: list[int] = []  # shared-prefix lengths with later words, rising
+    for i in reversed(range(len(order))):
+        w = order[i]
+        if i + 1 < len(order):
+            common = 0
+            for x, y in zip(w, order[i + 1]):
+                if x != y:
+                    break
+                common += 1
+            later = [s for s in later if s < common] + [common]
+        keep = set()
+        for k in later:
+            k = min(k, len(w) - 1)
+            while k and w[k - 1][0] == "c":
+                k -= 1
+            if k:
+                keep.add(k)
+        out.append(keep)
+    return out[::-1]
 
 
 def mc_trace_moment(word: Sequence[Atom], dim: int,

@@ -79,6 +79,13 @@ class TestParsing:
         with pytest.raises(InputError):
             parse_problem_dict(data)
 
+    def test_huge_factor_tag_rejected(self):
+        # the contiguity check must not build range(factor + 1)
+        data = copy.deepcopy(_BUNDLED_DICTS["chsh"])
+        data["algebra"]["generators"][0]["factor"] = 15541571038
+        with pytest.raises(InputError, match="contiguous range"):
+            parse_problem_dict(data)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_mutated_field_raises_only_input_error(self, data):
@@ -271,6 +278,18 @@ class TestOtherCommands:
         r = run_cli("mc-check", str(bundled_problem_path("chsh")),
                     "b1 b2", "--dim", "2", "--samples", "5000")
         assert r.returncode == 0
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_mc_check_negative_seed_exit_2(self, capsys, monkeypatch, via):
+        argv = ["mc-check", str(bundled_problem_path("free-unitaries")),
+                "u1", "--dim", "2"]
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("NCUPPER_SEED", "-1")
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed must be >= 0"]
 
     def test_eval_state_unit(self):
         r = run_cli("eval-state", str(bundled_problem_path("chsh")), "1")

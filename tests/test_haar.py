@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from ncupper import haar
 from ncupper.errors import BudgetExceededError, InputError
 from ncupper.haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
-                          exact_trace_moment, mc_trace_moment,
+                          exact_trace_moment, haar_sample, mc_trace_moment,
                           mc_trace_moments)
 from ncupper.symcomb import compose, cycle_type, inverse, weingarten
 
@@ -295,10 +298,13 @@ class TestMonteCarlo:
                             samples=5000, seed=42)
         assert a == b
 
-    @pytest.mark.parametrize("words, dim", [([[]], 2), ([[U("a")]], 0)])
-    def test_bad_word_or_dim(self, words, dim):
+    @pytest.mark.parametrize("words, dim, seed",
+                             [([[]], 2, 0), ([[U("a")]], 0, 0),
+                              ([[U("a")]], 2, -1)],
+                             ids=["words0-2", "words1-0", "negative-seed"])
+    def test_bad_word_or_dim(self, words, dim, seed):
         with pytest.raises(InputError):
-            mc_trace_moments(words, dim, samples=10)
+            mc_trace_moments(words, dim, samples=10, seed=seed)
 
     def test_exact_vs_mc_signatures(self):
         sig = SignatureMatrix(4, 2)
@@ -308,3 +314,104 @@ class TestMonteCarlo:
         for word, (est, err) in zip(words, results):
             exact = float(exact_trace_moment(word, 4, {"D": sig}))
             assert abs(exact - est) <= 5 * err + 1e-10
+
+
+def _oracle_mc(words, dim, constants, samples, seed):
+    """Monte Carlo (estimate, stderr) word by word: the full matmul product
+    of every word's atoms, then its trace, on mc_trace_moments's sample
+    stream."""
+    words = [haar._checked_atoms(w, dim, constants) for w in words]
+    symbols = sorted({a[1] for w in words for a in w if a[0] == "u"})
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(len(words))
+    sqsums = np.zeros(len(words))
+    done = 0
+    while done < samples:
+        n = min(haar._MC_CHUNK, samples - done)
+        us = {s: haar_sample(rng, n, dim) for s in symbols}
+        for wi, w in enumerate(words):
+            acc = None
+            for a in w:
+                if a[0] == "u":
+                    m = us[a[1]]
+                    m = m.conj().transpose(0, 2, 1) if a[2] else m
+                else:
+                    d = np.where(np.arange(dim) < a[2], 1.0, -1.0)
+                    m = np.broadcast_to(np.diag(d), (n, dim, dim))
+                acc = m if acc is None else acc @ m
+            tr = np.einsum("...ii->...", acc).real
+            sums[wi] += tr.sum()
+            sqsums[wi] += (tr * tr).sum()
+        done += n
+    mean = sums / samples
+    var = np.maximum(sqsums / samples - mean * mean, 0.0)
+    return list(zip(mean, np.sqrt(var / (samples - 1))))
+
+
+def _trie_words():
+    """Words exercising the prefix trie: shared prefixes, a duplicate, a
+    word that is a prefix of others, single atoms, constants first and
+    last, adjacent constants, and two constants with different r."""
+    a, a_, b, b_ = U("a"), U("a", True), U("b"), U("b", True)
+    return [
+        [a, b, a_, b_], [a, b, b_, a_], [a, b, a_], [a, b, a_, b_],
+        [a, b], [a], [a_], [D("D")], [b_, a_, b, a],
+        [D("D"), a, a_], [a, a_, D("D")], [D("E"), a, D("D"), a_, D("E")],
+        [a, D("D"), D("E"), a_], [D("D"), D("E")],
+        conj_sig("a") * 3, conj_sig("a") + conj_sig("b"),
+        conj_sig("a") * 2 + conj_sig("b"),
+        [a, D("E"), a_, b, D("D"), b_],
+    ]
+
+
+def _trie_constants(dim):
+    return {"D": SignatureMatrix(dim, dim // 2), "E": SignatureMatrix(dim, dim)}
+
+
+class TestMonteCarloTrie:
+    """mc_trace_moments evaluates words as a prefix trie; the word-by-word
+    product oracle on the same sample stream must agree."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_word_products(self, monkeypatch, dim, seed):
+        # three chunks, so that the trie is rebuilt per chunk
+        monkeypatch.setattr(haar, "_MC_CHUNK", 700)
+        words = _trie_words()
+        consts = _trie_constants(dim)
+        got = mc_trace_moments(words, dim, consts, samples=2000, seed=seed)
+        want = _oracle_mc(words, dim, consts, samples=2000, seed=seed)
+        for word, (m, e), (m0, e0) in zip(words, got, want):
+            # a zero-variance word such as (a D a*)^3 leaves ~1e-10 of
+            # cancellation noise in its stderr
+            assert abs(m - m0) <= 1e-12, word
+            assert abs(e - e0) <= 1e-9, word
+
+    def test_order_invariance(self):
+        words = _trie_words()
+        consts = _trie_constants(3)
+        base = mc_trace_moments(words, 3, consts, samples=2000, seed=4)
+        rng = random.Random(8)
+        for _ in range(3):
+            perm = list(range(len(words)))
+            rng.shuffle(perm)
+            got = mc_trace_moments([words[i] for i in perm], 3, consts,
+                                   samples=2000, seed=4)
+            assert np.array(got).tobytes() == \
+                np.array([base[i] for i in perm]).tobytes()
+
+    def test_peak_memory(self):
+        # the 30 signature words at dim 3 share prefixes 12 atoms deep; only
+        # the products a later word starts from may stay alive
+        dim, samples = 3, 10 ** 4
+        words = [[x for s in seq for x in conj_sig(s)] for n in range(1, 5)
+                 for seq in itertools.product("ab", repeat=n)]
+        consts = {"D": SignatureMatrix(dim, dim // 2)}
+        mc_trace_moments(words, dim, consts, samples=10, seed=0)
+        tracemalloc.start()
+        try:
+            mc_trace_moments(words, dim, consts, samples=samples, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples * dim * dim * 16
