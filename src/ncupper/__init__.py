@@ -5,7 +5,8 @@ matrices and symmetric-pencil generalized eigenvalue problems."""
 __version__ = "0.1.0"
 
 from .algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial, Word,
-                      canonicalize, evaluate, multiply, star, words_up_to)
+                      canonicalize, evaluate, multiply, star, tracial_class,
+                      words_up_to)
 from .haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
                    exact_trace_moment, mc_trace_moment, mc_trace_moments)
 from .hierarchy import (HierarchyReport, MomentMatrix, PencilReport,
@@ -13,12 +14,13 @@ from .hierarchy import (HierarchyReport, MomentMatrix, PencilReport,
                         moment_matrix, scalar_moments)
 from .states import (CanonicalTrace, Combination, FreeProductState, HaarTrace,
                      StateSpec, TensorProductState, evaluate_poly,
-                     evaluate_state, make_increasing)
+                     evaluate_state, evaluate_sums, make_increasing)
 from .symcomb import character, content_product, partitions, weingarten
 
 __all__ = [
     "AlgebraSpec", "GeneratorSpec", "Letter", "NCPolynomial", "Word",
-    "canonicalize", "evaluate", "multiply", "star", "words_up_to",
+    "canonicalize", "evaluate", "multiply", "star", "tracial_class",
+    "words_up_to",
     "ConstantAtom", "SignatureMatrix", "UnitaryAtom",
     "exact_trace_moment", "mc_trace_moment", "mc_trace_moments",
     "HierarchyReport", "MomentMatrix", "PencilReport",
@@ -26,6 +28,6 @@ __all__ = [
     "scalar_moments",
     "CanonicalTrace", "Combination", "FreeProductState", "HaarTrace",
     "StateSpec", "TensorProductState", "evaluate_poly", "evaluate_state",
-    "make_increasing",
+    "evaluate_sums", "make_increasing",
     "character", "content_product", "partitions", "weingarten",
 ]

@@ -13,10 +13,11 @@ Polynomial coefficients are exact rationals throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import groupby
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -29,11 +30,7 @@ RationalLike = Union[int, str, Fraction]
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce ints and 'p/q' strings to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise InputError(f"not a rational: {x!r}")
 
@@ -82,8 +79,7 @@ class AlgebraSpec:
             raise InputError(f"unknown generator id {gid!r}") from None
 
 
-@dataclass(frozen=True, order=False)
-class Letter:
+class Letter(NamedTuple):
     gen: str
     star: bool = False
 
@@ -102,9 +98,8 @@ class Word:
         return not self.letters
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(l.gen + ("*" if l.star else "") for l in self.letters)
+        return " ".join(l.gen + ("*" if l.star else "")
+                        for l in self.letters) or "1"
 
 
 IDENTITY_WORD = Word()
@@ -120,13 +115,9 @@ def word_sort_key(word: Word, algebra: AlgebraSpec):
 
 
 def _cancels(a: Letter, b: Letter, kind: str) -> bool:
-    if a.gen != b.gen:
-        return False
-    if kind == "unitary":
-        return a.star != b.star
-    if kind == "hermitian-unitary":
-        return True  # stars already normalized away
-    return False
+    # hermitian-unitary stars are already normalized away
+    return a.gen == b.gen and (kind == "hermitian-unitary"
+                               or kind == "unitary" and a.star != b.star)
 
 
 def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
@@ -136,36 +127,52 @@ def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
     hermitian-unitary stars are dropped, and adjacent inverse pairs are
     cancelled until a fixed point.
     """
-    letters = []
-    for l in word.letters:
-        g = algebra.generator(l.gen)
-        if g.kind == "hermitian-unitary" and l.star:
-            l = Letter(l.gen, False)
-        letters.append(l)
-    letters.sort(key=lambda l: algebra.by_id[l.gen].factor)  # stable
+    letters = [(algebra.generator(l.gen), l) for l in word.letters]
+    if len(algebra.factor_tags) > 1:
+        letters.sort(key=lambda e: e[0].factor)  # stable
     stack: list[Letter] = []
-    for l in letters:
-        if stack:
-            top = stack[-1]
-            kind = algebra.by_id[l.gen].kind
-            same_factor = algebra.by_id[top.gen].factor == algebra.by_id[l.gen].factor
-            if same_factor and _cancels(top, l, kind):
-                stack.pop()
-                continue
-        stack.append(l)
+    for g, l in letters:
+        if l.star and g.kind == "hermitian-unitary":
+            l = Letter(l.gen)
+        if stack and _cancels(stack[-1], l, g.kind):
+            stack.pop()
+        else:
+            stack.append(l)
     return Word(tuple(stack))
+
+
+def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
+    """Least word, in letter tuple order, of a canonical word's class under
+    the moves that keep every real-valued tracial state: cyclic cancellation
+    (u ... u*, b ... b) and rotation within each tensor factor, valid since
+    factors commute, and the adjoint of the whole word."""
+    by_id = algebra.by_id
+    forward, adjoint = (), ()  # per-factor least rotations, concatenated
+    for _, run in groupby(word.letters, key=lambda l: by_id[l.gen].factor):
+        run = tuple(run)
+        while len(run) > 1 and _cancels(run[-1], run[0],
+                                        by_id[run[0].gen].kind):
+            run = run[1:-1]
+        forward += _least_rotation(run)
+        adjoint += _least_rotation(tuple(
+            Letter(l.gen, by_id[l.gen].kind != "hermitian-unitary"
+                   and not l.star) for l in reversed(run)))
+    return Word(min(forward, adjoint))
+
+
+def _least_rotation(t: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    return min((t[i:] + t[:i] for i in range(len(t))), default=t)
 
 
 class NCPolynomial:
     """Rational-coefficient sum of canonical words. Immutable."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, Fraction]):
         self.terms: dict[Word, Fraction] = {
             w: c for w, c in terms.items() if c != 0
         }
-        self._hash = None
 
     @staticmethod
     def zero() -> "NCPolynomial":
@@ -186,11 +193,6 @@ class NCPolynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPolynomial) and self.terms == other.terms
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -198,21 +200,15 @@ class NCPolynomial:
         return NCPolynomial(out)
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c: RationalLike) -> "NCPolynomial":
-        c = as_fraction(c)
-        return NCPolynomial({w: c * v for w, v in self.terms.items()})
+        return self + NCPolynomial({w: -c for w, c in other.terms.items()})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         return " + ".join(f"({c})*{w}" for w, c in sorted(
-            self.terms.items(), key=lambda kv: str(kv[0])))
+            self.terms.items(), key=lambda kv: str(kv[0]))) or "0"
 
 
 def star_word(word: Word) -> Word:
@@ -220,15 +216,12 @@ def star_word(word: Word) -> Word:
     return Word(tuple(Letter(l.gen, not l.star) for l in reversed(word.letters)))
 
 
-def star(p: NCPolynomial, algebra: AlgebraSpec | None = None) -> NCPolynomial:
-    """Involution: words reversed and starred, coefficients conjugated
-    (rationals are unchanged). Result re-canonicalized when an algebra is
-    supplied; raw star otherwise."""
+def star(p: NCPolynomial, algebra: AlgebraSpec) -> NCPolynomial:
+    """Involution: words reversed, starred and re-canonicalized, coefficients
+    conjugated (rationals are unchanged)."""
     out: dict[Word, Fraction] = {}
     for w, c in p.terms.items():
-        sw = star_word(w)
-        if algebra is not None:
-            sw = canonicalize(sw, algebra)
+        sw = canonicalize(star_word(w), algebra)
         out[sw] = out.get(sw, Fraction(0)) + c
     return NCPolynomial(out)
 
@@ -239,9 +232,7 @@ def multiply(p: NCPolynomial, q: NCPolynomial, algebra: AlgebraSpec) -> NCPolyno
     for wp, cp in p.terms.items():
         for wq, cq in q.terms.items():
             w = canonicalize(Word(wp.letters + wq.letters), algebra)
-            c = cp * cq
-            prev = out.get(w)
-            out[w] = c if prev is None else prev + c
+            out[w] = out.get(w, 0) + cp * cq
     return NCPolynomial(out)
 
 
@@ -249,40 +240,22 @@ def is_self_adjoint(p: NCPolynomial, algebra: AlgebraSpec) -> bool:
     return star(p, algebra) == p
 
 
-def _letter_choices(algebra: AlgebraSpec, subset: Sequence[str]) -> list[Letter]:
-    choices = []
-    for gid in subset:
-        g = algebra.generator(gid)
-        if g.kind == "hermitian-unitary":
-            choices.append(Letter(gid, False))
-        else:
-            choices.append(Letter(gid, False))
-            choices.append(Letter(gid, True))
-    return choices
-
-
 def words_up_to(algebra: AlgebraSpec, subset: Sequence[str], d: int) -> list[Word]:
     """All distinct canonical *-words of length <= d over the subset, in
     degree-lex order; the first element is 1."""
     if d < 0:
         raise InputError("order must be nonnegative")
-    choices = _letter_choices(algebra, subset)
-    seen: set[Word] = {IDENTITY_WORD}
-    by_len: dict[int, list[Word]] = {0: [IDENTITY_WORD]}
+    choices = [Letter(gid, star) for gid in subset for star in (False, True)
+               if algebra.generator(gid).kind != "hermitian-unitary"
+               or not star]
+    levels = [[IDENTITY_WORD]]
     for length in range(1, d + 1):
-        level: list[Word] = []
-        for w in by_len.get(length - 1, []):
-            for l in choices:
-                cand = canonicalize(Word(w.letters + (l,)), algebra)
-                if len(cand) == length and cand not in seen:
-                    seen.add(cand)
-                    level.append(cand)
-        by_len[length] = level
-    result: list[Word] = []
-    for length in range(d + 1):
-        result.extend(sorted(by_len.get(length, []),
+        # a canonical word less its last letter is a canonical word
+        level = {canonicalize(Word(w.letters + (l,)), algebra)
+                 for w in levels[-1] for l in choices}
+        levels.append(sorted((w for w in level if len(w) == length),
                              key=lambda w: word_sort_key(w, algebra)))
-    return result
+    return [w for level in levels for w in level]
 
 
 def evaluate(p: NCPolynomial, assignment: Mapping[str, np.ndarray],
@@ -304,12 +277,11 @@ def evaluate(p: NCPolynomial, assignment: Mapping[str, np.ndarray],
     eye = np.eye(n, dtype=complex)
     for gid, m in assignment.items():
         kind = algebra.generator(gid).kind
-        if kind in ("unitary", "hermitian-unitary"):
-            if not np.allclose(m @ m.conj().T, eye, atol=rtol * max(1.0, n)):
-                warnings.warn(f"matrix for {gid} is not unitary within tolerance")
-        if kind == "hermitian-unitary":
-            if not np.allclose(m, m.conj().T, atol=rtol * max(1.0, n)):
-                warnings.warn(f"matrix for {gid} is not Hermitian within tolerance")
+        atol = rtol * max(1.0, n)
+        if kind != "general" and not np.allclose(m @ m.conj().T, eye, atol=atol):
+            warnings.warn(f"matrix for {gid} is not unitary within tolerance")
+        if kind == "hermitian-unitary" and not np.allclose(m, m.conj().T, atol=atol):
+            warnings.warn(f"matrix for {gid} is not Hermitian within tolerance")
     total = np.zeros((n, n), dtype=complex)
     for w, c in p.terms.items():
         val = eye

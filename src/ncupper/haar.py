@@ -41,7 +41,11 @@ under trace cyclicity and adjoint symmetry (tr w* = tr w, the constants
 being real diagonal) and evaluates that with an ``lru_cache``d engine keyed
 on (representative, dim, budget), for the life of the process. The budget is
 part of the key, so a moment computed under a large budget is still refused
-under a smaller one.
+under a smaller one. States call it once per tracial class of a word
+(``algebra.tracial_class``: cyclic cancellation and rotation within each
+tensor factor, and the adjoint, which keep every real tracial state's value),
+memoized in ``states._eval`` on (state, class, algebra, budget), so the words
+that reach this engine are already cyclically reduced.
 
 Word check. ``exact_trace_moment`` and the Monte Carlo oracle
 ``mc_trace_moments`` check a word through one helper (dim >= 1, a non-empty

@@ -20,11 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (AlgebraSpec, NCPolynomial, Word, is_self_adjoint,
-                      multiply, star, words_up_to)
+                      multiply, star_word, words_up_to)
 from .errors import (BudgetExceededError, IndefiniteBError, InputError,
                      KernelViolationError)
 from .haar import DEFAULT_BUDGET
-from .states import StateSpec, evaluate_poly
+from .states import StateSpec, evaluate_sums
 
 DEFAULT_TOL = 1e-9
 DEFAULT_WORD_BUDGET = 10 ** 6
@@ -81,14 +81,14 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
     if len(set(basis)) != len(basis):
         raise InputError("basis words must be duplicate-free")
     n = len(basis)
-    stars = [star(NCPolynomial.from_word(u), algebra) for u in basis]
-    ufv = [multiply(su, f, algebra) for su in stars]
+    adjoints = [star_word(u).letters for u in basis]
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    values = evaluate_sums(state, (
+        ((Word(adjoints[i] + w.letters + basis[j].letters), c)
+         for w, c in f.terms.items()) for i, j in cells), algebra, budget)
     entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            p = multiply(ufv[i], NCPolynomial.from_word(basis[j]), algebra)
-            entries[i][j] = entries[j][i] = evaluate_poly(state, p, algebra,
-                                                          budget)
+    for (i, j), v in zip(cells, values):
+        entries[i][j] = entries[j][i] = v
     return MomentMatrix(basis, entries)
 
 
@@ -98,15 +98,17 @@ def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
     """[phi(f^0), ..., phi(f^max_power)], exact."""
     if not is_self_adjoint(f, algebra):
         raise InputError("scalar_moments requires f = f*")
-    moments = [Fraction(1)]
-    power = NCPolynomial.one()
-    for _ in range(max_power):
-        power = multiply(power, f, algebra)
-        if len(power.terms) > word_budget:
-            raise BudgetExceededError(
-                f"support of f^k exceeded {word_budget} words")
-        moments.append(evaluate_poly(state, power, algebra, budget))
-    return moments
+
+    def powers():  # each built after the previous one is evaluated
+        power = NCPolynomial.one()
+        yield power.terms.items()
+        for _ in range(max_power):
+            power = multiply(power, f, algebra)
+            if len(power.terms) > word_budget:
+                raise BudgetExceededError(
+                    f"support of f^k exceeded {word_budget} words")
+            yield power.terms.items()
+    return evaluate_sums(state, powers(), algebra, budget)
 
 
 def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilReport:
@@ -122,12 +124,10 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise InputError("max_shift needs same-size square matrices")
     w, v = np.linalg.eigh(B)
-    wmax = float(w[-1])
-    if wmax <= 0:
-        wmax = 0.0
+    wmax = max(float(w[-1]), 0.0)
     if w[0] < -tol * max(wmax, 1.0):
         raise IndefiniteBError(f"B has eigenvalue {w[0]:.3e} < 0 beyond tol")
-    thresh = tol * max(wmax, 0.0)
+    thresh = tol * wmax
     keep = w > thresh
     norm_a = float(np.linalg.norm(A, 2))
     kernel_residual = 0.0

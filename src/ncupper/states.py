@@ -11,6 +11,13 @@ Supported variants:
                             across tensor factors)
   * FreeProductState        centering recursion: alternating products of
                             centered component elements evaluate to zero
+
+Every variant is tracial with real values (for combinations, tensor and free
+products: Voiculescu-Dykema-Nica, "Free random variables", 1992), so values
+are memoized on ``algebra.tracial_class``; a non-tracial state added later
+must opt out. Whether a state can evaluate a word (one generator kind per
+Haar trace, a free product covering every generator) is checked on the
+canonical word before reduction: ``u b u*`` is refused, its class ``b`` not.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from itertools import groupby
+from typing import Iterable, Sequence, Union
 
-from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize, multiply)
+from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize, multiply,
+                      tracial_class)
 from .errors import InputError
 from .haar import (DEFAULT_BUDGET, ConstantAtom, SignatureMatrix, UnitaryAtom,
                    exact_trace_moment)
@@ -70,22 +79,78 @@ StateSpec = Union[CanonicalTrace, HaarTrace, Combination, TensorProductState,
 
 def evaluate_state(state: StateSpec, word: Word, algebra: AlgebraSpec,
                    budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact value of the state on any word, canonicalized here. Memoized
-    per (state, canonical word, algebra, budget) for the life of the
-    process, so a smaller budget is enforced even on a word seen before."""
-    return _eval(state, canonicalize(word, algebra), algebra, budget)
+    """Exact value of the state on any word, canonicalized and checked here,
+    memoized on (state, tracial class, algebra, budget) for the process."""
+    word = canonicalize(word, algebra)
+    _check(state, frozenset(l.gen for l in word.letters), algebra)
+    return _eval(state, tracial_class(word, algebra), algebra, budget)
 
 
 def evaluate_poly(state: StateSpec, p: NCPolynomial, algebra: AlgebraSpec,
                   budget: int = DEFAULT_BUDGET) -> Fraction:
-    return sum((c * evaluate_state(state, w, algebra, budget)
-                for w, c in p.terms.items()), Fraction(0))
+    return evaluate_sums(state, [p.terms.items()], algebra, budget)[0]
+
+
+def evaluate_sums(state: StateSpec,
+                  sums: Iterable[Iterable[tuple[Word, Fraction]]],
+                  algebra: AlgebraSpec,
+                  budget: int = DEFAULT_BUDGET) -> list[Fraction]:
+    """Exact sum of c * psi(w) over each iterable of (word, c) terms, in order;
+    every word is checked, and each distinct tracial class evaluated once."""
+    values: dict[Word, Fraction] = {}  # canonical word (or class) -> psi
+    checked = set()
+    out = []
+    for terms in sums:
+        out.append(Fraction(0))
+        for w, c in terms:
+            w = canonicalize(w, algebra)
+            if w not in values:
+                if (gens := frozenset(l.gen for l in w.letters)) not in checked:
+                    _check(state, gens, algebra)
+                    checked.add(gens)
+                # a class has a subset of w's generators, so it passes too
+                cls = tracial_class(w, algebra)
+                if cls not in values:
+                    values[cls] = evaluate_state(state, cls, algebra, budget)
+                values[w] = values[cls]
+            out[-1] += c * values[w]
+    return out
+
+
+def _check(state: StateSpec, gens: frozenset, algebra: AlgebraSpec) -> None:
+    """Raise InputError unless the state can evaluate a word over gens."""
+    if isinstance(state, HaarTrace):
+        kinds = {algebra.generator(g).kind for g in gens}
+        if len(kinds) > 1 or "general" in kinds:
+            raise InputError(f"HaarTrace cannot evaluate kinds {sorted(kinds)}")
+    elif isinstance(state, Combination):
+        for _, s in state.terms:
+            _check(s, gens, algebra)
+    elif isinstance(state, TensorProductState):
+        states = dict(state.factors)
+        if missing := set(algebra.factor_tags) - set(states):
+            raise InputError(f"tensor state misses factor tags {sorted(missing)}")
+        for tag, s in states.items():
+            _check(s, frozenset(g for g in gens
+                                if algebra.generator(g).factor == tag), algebra)
+    elif isinstance(state, FreeProductState):
+        covered = [g for comp, _ in state.components for g in comp]
+        if len(set(covered)) != len(covered):
+            raise InputError("free-product components must be disjoint")
+        if uncovered := gens - set(covered):
+            raise InputError(f"generator {min(uncovered)!r} not covered by "
+                             f"free product")
+        for comp, s in state.components:
+            if gens & comp:
+                _check(s, gens & comp, algebra)
+    elif not isinstance(state, CanonicalTrace):
+        raise InputError(f"unknown state variant {state!r}")
 
 
 @lru_cache(maxsize=None)
 def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
           budget: int) -> Fraction:
-    # word is canonical here, and so is each tensor factor's sub-word of it
+    # word is a checked class representative, canonical factor by factor
     if isinstance(state, CanonicalTrace):
         return Fraction(1) if word.is_identity else Fraction(0)
     if isinstance(state, HaarTrace):
@@ -95,42 +160,27 @@ def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
                     for w, s in state.terms), Fraction(0))
     if isinstance(state, TensorProductState):
         return _eval_tensor(state, word, algebra, budget)
-    if isinstance(state, FreeProductState):
-        return _eval_free(state, word, algebra, budget)
-    raise InputError(f"unknown state variant {state!r}")
+    return _eval_free(state, word, algebra, budget)
 
 
 def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
     if word.is_identity:
         return Fraction(1)
-    kinds = {algebra.generator(l.gen).kind for l in word.letters}
-    if len(kinds) > 1:
-        raise InputError("HaarTrace cannot mix generator kinds in one word")
-    kind = kinds.pop()
-    if kind == "unitary":
+    if algebra.generator(word.letters[0].gen).kind == "unitary":
         atoms = [UnitaryAtom(l.gen, l.star) for l in word.letters]
-        dim = state.dim
-        return exact_trace_moment(atoms, dim, {}, budget) / dim
-    if kind == "hermitian-unitary":
-        dim = 2 * state.dim
-        sig = SignatureMatrix(dim, state.dim)
-        atoms = []
-        for l in word.letters:
-            atoms += [UnitaryAtom(l.gen), ConstantAtom("D"),
-                      UnitaryAtom(l.gen, star=True)]
-        return exact_trace_moment(atoms, dim, {"D": sig}, budget) / dim
-    raise InputError(f"HaarTrace does not support kind {kind!r}")
+        return exact_trace_moment(atoms, state.dim, {}, budget) / state.dim
+    dim = 2 * state.dim
+    atoms = [a for l in word.letters for a in (
+        UnitaryAtom(l.gen), ConstantAtom("D"), UnitaryAtom(l.gen, star=True))]
+    return exact_trace_moment(atoms, dim, {"D": SignatureMatrix(dim, state.dim)},
+                              budget) / dim
 
 
 def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,
                  budget: int) -> Fraction:
-    states = dict(state.factors)
-    missing = set(algebra.factor_tags) - set(states)
-    if missing:
-        raise InputError(f"tensor state misses factor tags {sorted(missing)}")
     value = Fraction(1)
-    for tag, s in sorted(states.items()):
+    for tag, s in sorted(dict(state.factors).items()):
         sub = Word(tuple(l for l in word.letters
                          if algebra.generator(l.gen).factor == tag))
         value *= _eval(s, sub, algebra, budget)
@@ -139,34 +189,11 @@ def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,
 
 def _eval_free(state: FreeProductState, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
-    comp_of: dict[str, int] = {}
-    covered = set()
-    for ci, (gens, _) in enumerate(state.components):
-        for g in gens:
-            if g in covered:
-                raise InputError("free-product components must be disjoint")
-            covered.add(g)
-            comp_of[g] = ci
-    for l in word.letters:
-        if l.gen not in comp_of:
-            raise InputError(f"generator {l.gen!r} not covered by free product")
-    # split into maximal runs of same-component letters
-    blocks: list[tuple[int, NCPolynomial]] = []
-    run: list = []
-    run_ci = None
-    for l in word.letters:
-        ci = comp_of[l.gen]
-        if run and ci != run_ci:
-            blocks.append((run_ci, NCPolynomial.from_word(Word(tuple(run)))))
-            run = []
-        run.append(l)
-        run_ci = ci
-    if run:
-        blocks.append((run_ci, NCPolynomial.from_word(Word(tuple(run)))))
-    comp_states = [s for _, s in state.components]
-
-    def phi(ci: int, p: NCPolynomial) -> Fraction:
-        return evaluate_poly(comp_states[ci], p, algebra, budget)
+    comp_of = {g: ci for ci, (gens, _) in enumerate(state.components)
+               for g in gens}
+    blocks = tuple((ci, NCPolynomial.from_word(Word(tuple(run))))
+                   for ci, run in groupby(word.letters,
+                                          key=lambda l: comp_of[l.gen]))
 
     def walk(prefix: tuple, rest: tuple) -> Fraction:
         # prefix: centered alternating blocks; phi of a fully centered
@@ -174,7 +201,7 @@ def _eval_free(state: FreeProductState, word: Word, algebra: AlgebraSpec,
         if not rest:
             return Fraction(1) if not prefix else Fraction(0)
         ci, p = rest[0]
-        m = phi(ci, p)
+        m = evaluate_poly(state.components[ci][1], p, algebra, budget)
         centered = p - NCPolynomial.scalar(m)
         total = Fraction(0)
         if not centered.is_zero:
@@ -189,7 +216,7 @@ def _eval_free(state: FreeProductState, word: Word, algebra: AlgebraSpec,
                 total += m * walk(prefix, tail)
         return total
 
-    return walk((), tuple(blocks))
+    return walk((), blocks)
 
 
 def make_increasing(base: Sequence[StateSpec]) -> list[Combination]:

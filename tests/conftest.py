@@ -5,8 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from ncupper.algebra import AlgebraSpec, GeneratorSpec, Letter, Word
+
+# Hypothesis draws the same examples on every run and replays none from a
+# local database, so a test's verdict depends only on the code under test.
+# Loaded here, before the test modules build their own @settings from it.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

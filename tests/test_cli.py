@@ -301,6 +301,17 @@ class TestOtherCommands:
         assert r.returncode == 0
         assert r.stdout.strip().startswith("0 =")
 
+    def test_eval_state_budgets_the_class(self, capsys):
+        # u2 (u1 u2 u1* u2*) u2* needs 4 configurations as written, but its
+        # tracial class, the commutator, needs 1
+        problem = str(bundled_problem_path("free-unitaries"))
+        outs = []
+        for word in ("u2 u1 u2 u1* u2* u2*", "u1 u2 u1* u2*"):
+            assert main(["eval-state", problem, word, "--order", "2",
+                         "--budget", "2"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == "3/4 = 0.75\n"
+
     def test_eval_state_parse_failure(self):
         r = run_cli("eval-state", str(bundled_problem_path("chsh")), "zz")
         assert r.returncode == 2

@@ -95,6 +95,35 @@ class TestMomentMatrix:
                 err = vals.std(ddof=1) / np.sqrt(samples)
                 assert abs(float(m.entries[i][j]) - est) <= 5 * err + 1e-10
 
+    def test_each_class_evaluated_once(self, monkeypatch):
+        from ncupper import states
+        from ncupper.algebra import multiply, star, star_word, tracial_class
+        problem = parse_problem(bundled_problem_path("free-unitaries"))
+        algebra, f = problem.algebra, problem.objective
+        basis = words_up_to(algebra, problem.subset, 2)
+        psi = problem.state_family()(2)
+        seen = []
+        evaluate_state = states.evaluate_state
+
+        def counted(state, word, algebra, budget):
+            seen.append(word)
+            return evaluate_state(state, word, algebra, budget)
+
+        monkeypatch.setattr(states, "evaluate_state", counted)
+        m = moment_matrix(f, psi, basis, algebra)
+        classes = {tracial_class(canonicalize(Word(
+            star_word(u).letters + w.letters + v.letters), algebra), algebra)
+            for u in basis for v in basis for w in f.terms}
+        assert len(seen) == len(set(seen)) == len(classes)
+        assert set(seen) == classes
+        # the entries are those of the polynomial products u* f v
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                p = multiply(multiply(star(NCPolynomial.from_word(u), algebra),
+                                      f, algebra),
+                             NCPolynomial.from_word(v), algebra)
+                assert m.entries[i][j] == states.evaluate_poly(psi, p, algebra)
+
 
 class TestScalarMoments:
     def test_unit_moment(self, chsh):
@@ -113,6 +142,16 @@ class TestScalarMoments:
         m = scalar_moments(chsh.objective, chsh.state_family()(1), 1,
                            chsh.algebra)
         assert m[1] == Fraction(1, 2)
+
+    def test_matches_powers(self, chsh):
+        from ncupper.algebra import multiply
+        from ncupper.states import evaluate_poly
+        psi = chsh.state_family()(2)
+        got = scalar_moments(chsh.objective, psi, 5, chsh.algebra)
+        power = NCPolynomial.one()
+        for k in range(6):
+            assert got[k] == evaluate_poly(psi, power, chsh.algebra)
+            power = multiply(power, chsh.objective, chsh.algebra)
 
     def test_word_budget(self, chsh):
         with pytest.raises(BudgetExceededError):

@@ -4,13 +4,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncupper import states
 from ncupper.algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial,
-                             Word, canonicalize, star, words_up_to)
+                             Word, canonicalize, star, star_word,
+                             tracial_class, words_up_to)
 from ncupper.errors import InputError
-from ncupper.haar import haar_sample
+from ncupper.haar import DEFAULT_BUDGET, haar_sample
+from ncupper.hierarchy import moment_matrix
+from ncupper.problems import bundled_problem_path, parse_problem
 from ncupper.states import (CanonicalTrace, Combination, FreeProductState,
                             HaarTrace, TensorProductState, evaluate_state,
-                            make_increasing)
+                            evaluate_sums, make_increasing)
 
 
 def w(algebra, text):
@@ -225,3 +229,128 @@ class TestStateProperties:
             c_d = 2 * (2 ** d - 1) / (2 ** (d + 1) - 1)
             diff = gram(tensored(combs[d])) - c_d * gram(tensored(combs[d - 1]))
             assert np.linalg.eigvalsh(diff)[0] >= -1e-9
+
+
+class TestClassReductionKeepsErrors:
+    """A word's class can drop generators (u x u* has the class of x), but
+    whether a state can evaluate the word is decided on the word itself."""
+
+    def test_mixed_kinds_under_conjugation(self):
+        algebra = AlgebraSpec((GeneratorSpec("u", "unitary", 0),
+                               GeneratorSpec("b", "hermitian-unitary", 0)))
+        word = w(algebra, "u b u*")
+        assert tracial_class(word, algebra) == w(algebra, "b")
+        with pytest.raises(InputError):
+            evaluate_state(HaarTrace(1), word, algebra)
+        # refused even when the batch meets the class first through b
+        one = Fraction(1)
+        with pytest.raises(InputError):
+            evaluate_sums(HaarTrace(1), [[(w(algebra, "b"), one)],
+                                         [(word, one)]], algebra)
+        with pytest.raises(InputError):  # the only entry is u* b u
+            moment_matrix(NCPolynomial.from_word(w(algebra, "b")),
+                          HaarTrace(1), [w(algebra, "u")], algebra)
+        assert evaluate_state(HaarTrace(1), w(algebra, "b"), algebra) == 0
+
+    def test_uncovered_generator_under_conjugation(self, unitary_algebra):
+        state = FreeProductState(((frozenset({"u1"}), CanonicalTrace()),))
+        word = w(unitary_algebra, "u2 u1 u2*")
+        assert tracial_class(word, unitary_algebra) == w(unitary_algebra, "u1")
+        with pytest.raises(InputError):
+            evaluate_state(state, word, unitary_algebra)
+        one = Fraction(1)
+        with pytest.raises(InputError):
+            evaluate_sums(state, [[(w(unitary_algebra, "u1"), one),
+                                   (word, one)]], unitary_algebra)
+        assert evaluate_state(state, w(unitary_algebra, "u1"),
+                              unitary_algebra) == 0
+
+
+def _mixed_algebra():
+    """Every generator kind, two of them in each of two tensor factors."""
+    return AlgebraSpec((GeneratorSpec("u", "unitary", 0),
+                        GeneratorSpec("b", "hermitian-unitary", 0),
+                        GeneratorSpec("x", "general", 0),
+                        GeneratorSpec("v", "unitary", 1),
+                        GeneratorSpec("c", "hermitian-unitary", 1)))
+
+
+class TestTracialClass:
+    @pytest.mark.parametrize("algebra", [
+        _mixed_algebra(),
+        AlgebraSpec((GeneratorSpec("b1", "hermitian-unitary", 0),
+                     GeneratorSpec("b2", "hermitian-unitary", 0),
+                     GeneratorSpec("c1", "hermitian-unitary", 1),
+                     GeneratorSpec("c2", "hermitian-unitary", 1)))])
+    def test_idempotent_and_invariant(self, algebra):
+        ids = [g.id for g in algebra.generators]
+        conjugators = [Letter(g.id) for g in algebra.generators
+                       if g.kind != "general"]
+        for word in words_up_to(algebra, ids, 4):
+            cls = tracial_class(word, algebra)
+            assert tracial_class(cls, algebra) == cls
+            assert canonicalize(cls, algebra) == cls
+            assert len(cls) <= len(word)
+            # adjoint of the whole word
+            assert tracial_class(canonicalize(star_word(word), algebra),
+                                 algebra) == cls
+            # rotation within each tensor factor
+            for tag in algebra.factor_tags:
+                mine = [l for l in word.letters
+                        if algebra.generator(l.gen).factor == tag]
+                rest = [l for l in word.letters
+                        if algebra.generator(l.gen).factor != tag]
+                for i in range(len(mine)):
+                    rotated = Word(tuple(mine[i:] + mine[:i] + rest))
+                    assert tracial_class(canonicalize(rotated, algebra),
+                                         algebra) == cls
+            # conjugation by a unitary or hermitian-unitary letter
+            for l in conjugators:
+                inverse = Letter(l.gen, algebra.generator(l.gen).kind
+                                 == "unitary")
+                conj = Word((l,) + word.letters + (inverse,))
+                assert tracial_class(canonicalize(conj, algebra),
+                                     algebra) == cls
+
+    def test_general_letters_do_not_cancel(self):
+        algebra = _mixed_algebra()
+        word = w(algebra, "x u x*")
+        assert len(tracial_class(word, algebra)) == 3
+
+
+def _raw_value(state, word, algebra):
+    """The state on the canonical word itself, bypassing the class memo."""
+    return states._eval.__wrapped__(state, word, algebra, DEFAULT_BUDGET)
+
+
+def _assert_class_keyed(state, algebra, max_len):
+    ids = [g.id for g in algebra.generators]
+    for word in words_up_to(algebra, ids, max_len):
+        got = evaluate_state(state, word, algebra)
+        assert type(got) is Fraction
+        assert got == _raw_value(state, word, algebra), (state, str(word))
+
+
+class TestTraciality:
+    """Keying values on the tracial class is only valid for tracial states
+    with real values: compare it with the raw canonical word."""
+
+    @pytest.mark.parametrize("name, max_len", [
+        ("chsh", 6), ("free-unitaries", 6), ("commutator-example", 5),
+        ("reflection", 6)])
+    def test_bundled_state_families(self, name, max_len):
+        problem = parse_problem(bundled_problem_path(name))
+        family = problem.state_family()
+        for d in (1, 2, 3):
+            _assert_class_keyed(family(d), problem.algebra, max_len)
+
+    def test_tensor_product_fixture(self, bipartite_algebra, chsh_state):
+        _assert_class_keyed(chsh_state, bipartite_algebra, 6)
+
+    def test_free_products(self, unitary_algebra):
+        for comps in [(CanonicalTrace(), CanonicalTrace()),
+                      (HaarTrace(2), HaarTrace(1)),
+                      (HaarTrace(1), CanonicalTrace())]:
+            state = FreeProductState(((frozenset({"u1"}), comps[0]),
+                                      (frozenset({"u2"}), comps[1])))
+            _assert_class_keyed(state, unitary_algebra, 6)
