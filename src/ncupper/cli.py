@@ -19,17 +19,14 @@ import hashlib
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .algebra import NCPolynomial, Word
 from .errors import NCUpperError, InputError
-from .haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
-                   exact_trace_moment, mc_trace_moment, DEFAULT_BUDGET)
+from .haar import DEFAULT_BUDGET, exact_trace_moment, mc_trace_moment
 from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
 from .problems import (ProblemFile, parse_problem, parse_word_tokens,
                        serialize_problem)
-from .states import evaluate_state
+from .states import evaluate_state, trace_atoms
 from .symcomb import partitions, weingarten
 
 
@@ -198,31 +195,12 @@ def run_weingarten(args):
         print(f"{mu} -> {weingarten(mu, args.d)}")
 
 
-def _word_to_trace_atoms(word: Word, problem: ProblemFile, dim: int):
-    """Map a word over the problem algebra to trace-word atoms at matrix
-    size dim: unitary letters become Haar symbols, hermitian-unitary letters
-    expand to conjugated signatures with r = dim // 2."""
-    atoms = []
-    constants = {}
-    for l in word.letters:
-        kind = problem.algebra.generator(l.gen).kind
-        if kind == "unitary":
-            atoms.append(UnitaryAtom(l.gen, l.star))
-        elif kind == "hermitian-unitary":
-            constants["D"] = SignatureMatrix(dim, dim // 2)
-            atoms += [UnitaryAtom(l.gen), ConstantAtom("D"),
-                      UnitaryAtom(l.gen, star=True)]
-        else:
-            raise InputError(f"mc-check does not support kind {kind!r}")
-    return atoms, constants
-
-
 def run_mc_check(args):
     problem = parse_problem(args.problem)
     word = parse_word_tokens(args.word, problem.algebra)
     if word.is_identity:
         raise InputError("mc-check needs a non-identity word")
-    atoms, constants = _word_to_trace_atoms(word, problem, args.dim)
+    atoms, constants = trace_atoms(word, problem.algebra, args.dim)
     exact = exact_trace_moment(atoms, args.dim, constants, budget=args.budget)
     est, err = mc_trace_moment(atoms, args.dim, constants,
                                samples=args.samples, seed=args.seed)

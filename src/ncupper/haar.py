@@ -36,16 +36,15 @@ example odd k with r = dim/2) the moment is 0 and nothing is enumerated.
 The budget counts k! per block symbol and (k!)^2 per plain symbol, after
 this pruning.
 
-Memo. ``exact_trace_moment`` maps a word to the representative of its class
-under trace cyclicity and adjoint symmetry (tr w* = tr w, the constants
-being real diagonal) and evaluates that with an ``lru_cache``d engine keyed
-on (representative, dim, budget), for the life of the process. The budget is
-part of the key, so a moment computed under a large budget is still refused
-under a smaller one. States call it once per tracial class of a word
+Memo. The engine keeps no memo: every call enumerates, so every call
+checks its budget. The one moment memo is ``states._eval``, keyed on
+(state, tracial class, algebra, budget). The tracial class
 (``algebra.tracial_class``: cyclic cancellation and rotation within each
-tensor factor, and the adjoint, which keep every real tracial state's value),
-memoized in ``states._eval`` on (state, class, algebra, budget), so the words
-that reach this engine are already cyclically reduced.
+tensor factor, and the adjoint) keeps the value of every real tracial state,
+and tr w depends only on the class of w under rotation and adjoint (the
+constants being real diagonal), so a class has one moment, and each class
+reaches this engine once per Haar trace, algebra and budget, already
+cyclically reduced: a memo here would never be hit.
 
 Word check. ``exact_trace_moment`` and the Monte Carlo oracle
 ``mc_trace_moments`` check a word through one helper (dim >= 1, a non-empty
@@ -70,7 +69,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,38 +136,6 @@ def _checked_atoms(word: Sequence[Atom], dim: int,
     return tuple(out)
 
 
-def _star_reverse(resolved: tuple) -> tuple:
-    out = []
-    for a in reversed(resolved):
-        if a[0] == "u":
-            out.append(("u", a[1], not a[2]))
-        else:
-            out.append(a)  # signature matrices are self-adjoint
-    return tuple(out)
-
-
-def _cyclic_min(t: tuple) -> tuple:
-    return min(t[i:] + t[:i] for i in range(len(t)))
-
-
-def _cache_key(resolved: tuple) -> tuple:
-    """The smallest rotation of the word or of its adjoint, a resolved word
-    with the same moment. Plain tuple order is total on resolved atoms,
-    since their first field ("u" or "c") fixes the types of the rest."""
-    a = _cyclic_min(resolved)
-    b = _cyclic_min(_star_reverse(resolved))
-    return min(a, b)
-
-
-def exact_trace_moment(word: Sequence[Atom], dim: int,
-                       constants: Mapping[str, SignatureMatrix] | None = None,
-                       budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact value of E[tr w(U_1, ..., U_k, D_1, ...)] over independent Haar
-    unitaries of size dim, with fixed signature-matrix constants."""
-    resolved = _checked_atoms(word, dim, constants)
-    return _evaluate_moment(_cache_key(resolved), dim, budget)
-
-
 def _block_symbols(resolved: tuple,
                    unstarred: dict[str, list[int]]) -> dict[str, int]:
     """Symbol -> r for every symbol of a balanced word whose occurrences are
@@ -190,8 +156,12 @@ def _block_symbols(resolved: tuple,
     return out
 
 
-@lru_cache(maxsize=None)
-def _evaluate_moment(resolved: tuple, dim: int, budget: int) -> Fraction:
+def exact_trace_moment(word: Sequence[Atom], dim: int,
+                       constants: Mapping[str, SignatureMatrix] | None = None,
+                       budget: int = DEFAULT_BUDGET) -> Fraction:
+    """Exact value of E[tr w(U_1, ..., U_k, D_1, ...)] over independent Haar
+    unitaries of size dim, with fixed signature-matrix constants."""
+    resolved = _checked_atoms(word, dim, constants)
     L = len(resolved)
     # occurrence lists per unitary symbol
     unstarred: dict[str, list[int]] = {}

@@ -119,6 +119,8 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
     ker B <= ker A); the answer is the minimal eigenvalue of A whitened by B
     on the complement.
     """
+    if not 0 <= tol < float("inf"):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:

@@ -31,8 +31,8 @@ from typing import Iterable, Sequence, Union
 from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize, multiply,
                       tracial_class)
 from .errors import InputError
-from .haar import (DEFAULT_BUDGET, ConstantAtom, SignatureMatrix, UnitaryAtom,
-                   exact_trace_moment)
+from .haar import (DEFAULT_BUDGET, Atom, ConstantAtom, SignatureMatrix,
+                   UnitaryAtom, exact_trace_moment)
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,8 @@ StateSpec = Union[CanonicalTrace, HaarTrace, Combination, TensorProductState,
 
 def evaluate_state(state: StateSpec, word: Word, algebra: AlgebraSpec,
                    budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact value of the state on any word, canonicalized and checked here,
-    memoized on (state, tracial class, algebra, budget) for the process."""
-    word = canonicalize(word, algebra)
-    _check(state, frozenset(l.gen for l in word.letters), algebra)
-    return _eval(state, tracial_class(word, algebra), algebra, budget)
+    """Exact value of the state on any word; the one-term evaluate_sums."""
+    return evaluate_sums(state, [[(word, 1)]], algebra, budget)[0]
 
 
 def evaluate_poly(state: StateSpec, p: NCPolynomial, algebra: AlgebraSpec,
@@ -95,8 +92,10 @@ def evaluate_sums(state: StateSpec,
                   sums: Iterable[Iterable[tuple[Word, Fraction]]],
                   algebra: AlgebraSpec,
                   budget: int = DEFAULT_BUDGET) -> list[Fraction]:
-    """Exact sum of c * psi(w) over each iterable of (word, c) terms, in order;
-    every word is checked, and each distinct tracial class evaluated once."""
+    """Exact sum of c * psi(w) over each iterable of (word, c) terms, in order.
+    Every word is canonicalized and checked, then reduced to its tracial
+    class; each new class is evaluated once by ``_eval``, the one moment
+    memo, on (state, class, algebra, budget) for the process."""
     values: dict[Word, Fraction] = {}  # canonical word (or class) -> psi
     checked = set()
     out = []
@@ -111,7 +110,7 @@ def evaluate_sums(state: StateSpec,
                 # a class has a subset of w's generators, so it passes too
                 cls = tracial_class(w, algebra)
                 if cls not in values:
-                    values[cls] = evaluate_state(state, cls, algebra, budget)
+                    values[cls] = _eval(state, cls, algebra, budget)
                 values[w] = values[cls]
             out[-1] += c * values[w]
     return out
@@ -167,14 +166,31 @@ def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
     if word.is_identity:
         return Fraction(1)
-    if algebra.generator(word.letters[0].gen).kind == "unitary":
-        atoms = [UnitaryAtom(l.gen, l.star) for l in word.letters]
-        return exact_trace_moment(atoms, state.dim, {}, budget) / state.dim
-    dim = 2 * state.dim
-    atoms = [a for l in word.letters for a in (
-        UnitaryAtom(l.gen), ConstantAtom("D"), UnitaryAtom(l.gen, star=True))]
-    return exact_trace_moment(atoms, dim, {"D": SignatureMatrix(dim, state.dim)},
-                              budget) / dim
+    dim = state.dim
+    if algebra.generator(word.letters[0].gen).kind == "hermitian-unitary":
+        dim *= 2
+    atoms, constants = trace_atoms(word, algebra, dim)
+    return exact_trace_moment(atoms, dim, constants, budget) / dim
+
+
+def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
+                ) -> tuple[list[Atom], dict[str, SignatureMatrix]]:
+    """The Haar trace word of a word at matrix size dim, with its constants:
+    a unitary letter is a Haar symbol, and a hermitian-unitary letter b is
+    U_b D U_b* with D = diag(I_{dim//2}, -I_{dim - dim//2})."""
+    atoms: list[Atom] = []
+    constants = {}
+    for l in word.letters:
+        kind = algebra.generator(l.gen).kind
+        if kind == "unitary":
+            atoms.append(UnitaryAtom(l.gen, l.star))
+        elif kind == "hermitian-unitary":
+            constants["D"] = SignatureMatrix(dim, dim // 2)
+            atoms += [UnitaryAtom(l.gen), ConstantAtom("D"),
+                      UnitaryAtom(l.gen, star=True)]
+        else:
+            raise InputError(f"no Haar trace word for kind {kind!r}")
+    return atoms, constants
 
 
 def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,

@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,22 @@ class TestSolveCommand:
         assert main(["solve", chsh, "--order", "2"]) == 0
         assert main(["solve", chsh, "--order", "2", "--budget", "1"]) == 3
 
+    @pytest.mark.parametrize("flag, env", [
+        (["--tol", "-1"], {}), (["--tol", "nan"], {}),
+        ([], {"NCUPPER_TOL": "inf"})])
+    def test_bad_tol_exit_2(self, capsys, monkeypatch, flag, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = ["solve", str(bundled_problem_path("chsh")), "--order", "1",
+                *flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "tol must be finite and >= 0" in err[0]
+
+    def test_zero_tol_solves(self, capsys):
+        assert main(["solve", str(bundled_problem_path("chsh")),
+                     "--order", "2", "--tol", "0"]) == 0
+
     def test_env_parse_error_exit_2(self):
         r = run_cli("solve", str(bundled_problem_path("chsh")),
                     env_extra={"NCUPPER_ORDER": "x"})
@@ -278,6 +295,29 @@ class TestOtherCommands:
         r = run_cli("mc-check", str(bundled_problem_path("chsh")),
                     "b1 b2", "--dim", "2", "--samples", "5000")
         assert r.returncode == 0
+
+    def test_mc_check_and_state_share_trace_atoms(self, capsys):
+        # chsh's order-2 state is HaarTrace(2) on each factor, whose letters
+        # are 4 x 4 conjugated signatures: its value is the dim-4 trace / 4
+        chsh = str(bundled_problem_path("chsh"))
+        word = "b1 b2 b1 b2"
+        assert main(["mc-check", chsh, word, "--dim", "4",
+                     "--samples", "100"]) == 0
+        exact = capsys.readouterr().out.splitlines()[1].split()[2]
+        assert main(["eval-state", chsh, word, "--order", "2"]) == 0
+        value = capsys.readouterr().out.split()[0]
+        assert Fraction(exact) == 4 * Fraction(value) != 0
+
+    def test_mc_check_general_kind_exit_2(self, tmp_path, capsys):
+        data = {"algebra": {"generators": [{"id": "x", "kind": "general"}]},
+                "objective": [{"coefficient": "1", "word": [{"gen": "x"}]},
+                              {"coefficient": "1",
+                               "word": [{"gen": "x", "star": True}]}],
+                "state": {"kind": "canonical-trace"}}
+        path = tmp_path / "general.problem"
+        path.write_text(json.dumps(data))
+        assert main(["mc-check", str(path), "x x*", "--dim", "2"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_mc_check_negative_seed_exit_2(self, capsys, monkeypatch, via):

@@ -112,21 +112,6 @@ class TestExactTraceMoment:
             assert exact_trace_moment(word, 2, {"D": sig}) == \
                 exact_trace_moment(rev, 2, {"D": sig})
 
-    def test_cache_coherence(self):
-        from ncupper.haar import _cache_key, _checked_atoms, _evaluate_moment
-        sig = SignatureMatrix(3, 1)
-        word = [U("a"), D("D"), U("b"), U("a", True), U("b", True)]
-        v1 = exact_trace_moment(word, 3, {"D": sig})
-        rotated = word[2:] + word[:2]
-        key = _cache_key(_checked_atoms(rotated, 3, {"D": sig}))
-        assert key == _cache_key(_checked_atoms(word, 3, {"D": sig}))
-        hits = _evaluate_moment.cache_info().hits
-        assert exact_trace_moment(rotated, 3, {"D": sig}) is v1
-        assert _evaluate_moment.cache_info().hits == hits + 1
-        adjoint = [U(a.symbol, not a.star) if isinstance(a, U) else a
-                   for a in reversed(rotated)]
-        assert _cache_key(_checked_atoms(adjoint, 3, {"D": sig})) == key
-
 
 def _random_word(rng, max_len):
     word = []

@@ -103,13 +103,14 @@ class TestMomentMatrix:
         basis = words_up_to(algebra, problem.subset, 2)
         psi = problem.state_family()(2)
         seen = []
-        evaluate_state = states.evaluate_state
+        _eval = states._eval
 
         def counted(state, word, algebra, budget):
-            seen.append(word)
-            return evaluate_state(state, word, algebra, budget)
+            if state is psi:  # not the recursion into psi's parts
+                seen.append(word)
+            return _eval(state, word, algebra, budget)
 
-        monkeypatch.setattr(states, "evaluate_state", counted)
+        monkeypatch.setattr(states, "_eval", counted)
         m = moment_matrix(f, psi, basis, algebra)
         classes = {tracial_class(canonicalize(Word(
             star_word(u).letters + w.letters + v.letters), algebra), algebra)
@@ -182,6 +183,11 @@ class TestMaxShift:
     def test_kernel_violation(self):
         with pytest.raises(KernelViolationError):
             max_shift(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(InputError, match="tol must be finite"):
+            max_shift(np.eye(2), np.eye(2), tol=tol)
 
 
 class TestSequences:
