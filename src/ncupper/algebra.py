@@ -6,9 +6,11 @@ Generators come in three kinds:
                           normalized away)
   * ``general``           no relations
 
-Each generator carries a tensor-factor tag; letters with distinct tags
-commute, and canonical words are stably sorted so tags are non-decreasing.
-Polynomial coefficients are exact rationals throughout.
+A word is its tuple of ``Letter``s (the ``Word`` alias); ``()`` is the unit
+and ``word_str`` writes the problem syntax. Each generator carries a
+tensor-factor tag; letters with distinct tags commute, and canonical words
+are stably sorted so tags are non-decreasing. Polynomial coefficients are
+exact rationals throughout.
 """
 
 from __future__ import annotations
@@ -84,25 +86,12 @@ class Letter(NamedTuple):
     star: bool = False
 
 
-@dataclass(frozen=True)
-class Word:
-    """A product of letters; the empty tuple is the unit 1."""
-
-    letters: tuple[Letter, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __str__(self) -> str:
-        return " ".join(l.gen + ("*" if l.star else "")
-                        for l in self.letters) or "1"
+Word = tuple[Letter, ...]  # a product of letters; () is the unit 1
 
 
-IDENTITY_WORD = Word()
+def word_str(word: Word) -> str:
+    """Problem syntax of a word: 'b1 c1* b2', or '1' for the unit."""
+    return " ".join(l.gen + ("*" if l.star else "") for l in word) or "1"
 
 
 def _letter_key(letter: Letter, algebra: AlgebraSpec) -> tuple[int, bool]:
@@ -111,7 +100,7 @@ def _letter_key(letter: Letter, algebra: AlgebraSpec) -> tuple[int, bool]:
 
 
 def word_sort_key(word: Word, algebra: AlgebraSpec):
-    return (len(word.letters), tuple(_letter_key(l, algebra) for l in word.letters))
+    return (len(word), tuple(_letter_key(l, algebra) for l in word))
 
 
 def _cancels(a: Letter, b: Letter, kind: str) -> bool:
@@ -127,7 +116,7 @@ def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
     hermitian-unitary stars are dropped, and adjacent inverse pairs are
     cancelled until a fixed point.
     """
-    letters = [(algebra.generator(l.gen), l) for l in word.letters]
+    letters = [(algebra.generator(l.gen), l) for l in word]
     if len(algebra.factor_tags) > 1:
         letters.sort(key=lambda e: e[0].factor)  # stable
     stack: list[Letter] = []
@@ -138,7 +127,7 @@ def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
             stack.pop()
         else:
             stack.append(l)
-    return Word(tuple(stack))
+    return tuple(stack)
 
 
 def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
@@ -148,7 +137,7 @@ def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
     factors commute, and the adjoint of the whole word."""
     by_id = algebra.by_id
     forward, adjoint = (), ()  # per-factor least rotations, concatenated
-    for _, run in groupby(word.letters, key=lambda l: by_id[l.gen].factor):
+    for _, run in groupby(word, key=lambda l: by_id[l.gen].factor):
         run = tuple(run)
         while len(run) > 1 and _cancels(run[-1], run[0],
                                         by_id[run[0].gen].kind):
@@ -157,7 +146,7 @@ def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
         adjoint += _least_rotation(tuple(
             Letter(l.gen, by_id[l.gen].kind != "hermitian-unitary"
                    and not l.star) for l in reversed(run)))
-    return Word(min(forward, adjoint))
+    return min(forward, adjoint)
 
 
 def _least_rotation(t: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -180,7 +169,7 @@ class NCPolynomial:
 
     @staticmethod
     def one() -> "NCPolynomial":
-        return NCPolynomial({IDENTITY_WORD: Fraction(1)})
+        return NCPolynomial({(): Fraction(1)})
 
     @staticmethod
     def from_word(word: Word, coeff: RationalLike = 1) -> "NCPolynomial":
@@ -188,7 +177,7 @@ class NCPolynomial:
 
     @staticmethod
     def scalar(c: RationalLike) -> "NCPolynomial":
-        return NCPolynomial({IDENTITY_WORD: as_fraction(c)})
+        return NCPolynomial({(): as_fraction(c)})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPolynomial) and self.terms == other.terms
@@ -207,13 +196,13 @@ class NCPolynomial:
         return not self.terms
 
     def __repr__(self):
-        return " + ".join(f"({c})*{w}" for w, c in sorted(
-            self.terms.items(), key=lambda kv: str(kv[0]))) or "0"
+        return " + ".join(f"({c})*{word_str(w)}" for w, c in sorted(
+            self.terms.items(), key=lambda kv: word_str(kv[0]))) or "0"
 
 
 def star_word(word: Word) -> Word:
     """Reverse the word and star every letter (involution on raw words)."""
-    return Word(tuple(Letter(l.gen, not l.star) for l in reversed(word.letters)))
+    return tuple(Letter(l.gen, not l.star) for l in reversed(word))
 
 
 def star(p: NCPolynomial, algebra: AlgebraSpec) -> NCPolynomial:
@@ -231,7 +220,7 @@ def multiply(p: NCPolynomial, q: NCPolynomial, algebra: AlgebraSpec) -> NCPolyno
     out: dict[Word, Fraction] = {}
     for wp, cp in p.terms.items():
         for wq, cq in q.terms.items():
-            w = canonicalize(Word(wp.letters + wq.letters), algebra)
+            w = canonicalize(wp + wq, algebra)
             out[w] = out.get(w, 0) + cp * cq
     return NCPolynomial(out)
 
@@ -248,10 +237,10 @@ def words_up_to(algebra: AlgebraSpec, subset: Sequence[str], d: int) -> list[Wor
     choices = [Letter(gid, star) for gid in subset for star in (False, True)
                if algebra.generator(gid).kind != "hermitian-unitary"
                or not star]
-    levels = [[IDENTITY_WORD]]
+    levels = [[()]]
     for length in range(1, d + 1):
         # a canonical word less its last letter is a canonical word
-        level = {canonicalize(Word(w.letters + (l,)), algebra)
+        level = {canonicalize(w + (l,), algebra)
                  for w in levels[-1] for l in choices}
         levels.append(sorted((w for w in level if len(w) == length),
                              key=lambda w: word_sort_key(w, algebra)))
@@ -285,7 +274,7 @@ def evaluate(p: NCPolynomial, assignment: Mapping[str, np.ndarray],
     total = np.zeros((n, n), dtype=complex)
     for w, c in p.terms.items():
         val = eye
-        for l in w.letters:
+        for l in w:
             if l.gen not in assignment:
                 raise InputError(f"no matrix assigned to generator {l.gen!r}")
             m = assignment[l.gen]

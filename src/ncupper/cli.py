@@ -21,6 +21,7 @@ import os
 import sys
 
 from . import __version__
+from .algebra import word_str
 from .errors import NCUpperError, InputError
 from .haar import DEFAULT_BUDGET, exact_trace_moment, mc_trace_moment
 from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
@@ -42,9 +43,12 @@ def _env_default(name: str, cast, fallback=None):
 
 def _dims_list(text: str) -> list[int]:
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        dims = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise InputError(f"bad dims list {text!r}") from None
+        dims = []
+    if not dims or min(dims) < 1:
+        raise InputError(f"bad dims list {text!r}")
+    return dims
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +202,7 @@ def run_weingarten(args):
 def run_mc_check(args):
     problem = parse_problem(args.problem)
     word = parse_word_tokens(args.word, problem.algebra)
-    if word.is_identity:
+    if not word:
         raise InputError("mc-check needs a non-identity word")
     atoms, constants = trace_atoms(word, problem.algebra, args.dim)
     exact = exact_trace_moment(atoms, args.dim, constants, budget=args.budget)
@@ -206,7 +210,7 @@ def run_mc_check(args):
                                samples=args.samples, seed=args.seed)
     dev = abs(float(exact) - est)
     sigmas = dev / err if err > 0 else (0.0 if dev == 0 else float("inf"))
-    print(f"word       : {word}")
+    print(f"word       : {word_str(word)}")
     print(f"exact      : {exact} = {_sig6(float(exact))}")
     print(f"monte-carlo: {_sig6(est)} +- {_sig6(err)} "
           f"({args.samples} samples, seed {args.seed})")
@@ -226,6 +230,8 @@ def main(argv=None) -> int:
     try:
         # NCUPPER_* defaults are parsed while the parser is built
         args = build_parser().parse_args(argv)
+        if getattr(args, "budget", 0) < 0:
+            raise InputError(f"--budget must be >= 0, got {args.budget}")
         if args.command == "solve":
             run_solve(args)
         elif args.command == "weingarten":

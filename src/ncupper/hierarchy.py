@@ -48,7 +48,6 @@ class PencilReport:
     lam: float
     rank_b: int
     kernel_residual: float
-    tol: float
 
 
 @dataclass
@@ -81,10 +80,10 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
     if len(set(basis)) != len(basis):
         raise InputError("basis words must be duplicate-free")
     n = len(basis)
-    adjoints = [star_word(u).letters for u in basis]
+    adjoints = [star_word(u) for u in basis]
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     values = evaluate_sums(state, (
-        ((Word(adjoints[i] + w.letters + basis[j].letters), c)
+        ((adjoints[i] + w + basis[j], c)
          for w, c in f.terms.items()) for i, j in cells), algebra, budget)
     entries = [[Fraction(0)] * n for _ in range(n)]
     for (i, j), v in zip(cells, values):
@@ -146,7 +145,7 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
     C = (C + C.T) / 2
     lam = float(np.linalg.eigvalsh(C)[0])
     return PencilReport(lam=lam, rank_b=int(np.count_nonzero(keep)),
-                        kernel_residual=kernel_residual, tol=tol)
+                        kernel_residual=kernel_residual)
 
 
 def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Callable
 
 from .algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial, Word,
-                      as_fraction, canonicalize, is_self_adjoint)
+                      as_fraction, canonicalize, is_self_adjoint, word_str)
 from .errors import InputError
 from .states import (CanonicalTrace, Combination, FreeProductState, HaarTrace,
                      StateSpec, TensorProductState, make_increasing)
@@ -65,7 +65,7 @@ def parse_word_tokens(text: str, algebra: AlgebraSpec) -> Word:
         gid = t[:-1] if starred else t
         algebra.generator(gid)  # raises on unknown id
         letters.append(Letter(gid, starred))
-    return canonicalize(Word(tuple(letters)), algebra)
+    return canonicalize(tuple(letters), algebra)
 
 
 def _parse_objective(entries, algebra: AlgebraSpec) -> NCPolynomial:
@@ -77,7 +77,7 @@ def _parse_objective(entries, algebra: AlgebraSpec) -> NCPolynomial:
                             for l in t["word"])
         except (KeyError, TypeError) as e:
             raise InputError(f"malformed objective term {t!r}") from e
-        w = canonicalize(Word(letters), algebra)
+        w = canonicalize(letters, algebra)
         p = p + NCPolynomial.from_word(w, coeff)
     return p
 
@@ -166,10 +166,11 @@ def parse_problem(path: str | Path) -> ProblemFile:
 def serialize_problem(problem: ProblemFile) -> dict:
     """Round-trippable dict form (rationals as 'p/q' strings)."""
     terms = []
-    for w, c in sorted(problem.objective.terms.items(), key=lambda kv: str(kv[0])):
+    for w, c in sorted(problem.objective.terms.items(),
+                       key=lambda kv: word_str(kv[0])):
         terms.append({
             "coefficient": str(c),
-            "word": [{"gen": l.gen, "star": l.star} for l in w.letters],
+            "word": [{"gen": l.gen, "star": l.star} for l in w],
         })
     return {
         "algebra": {"generators": [
@@ -185,10 +186,6 @@ def serialize_problem(problem: ProblemFile) -> dict:
 
 # --- state declarations ----------------------------------------------------
 
-_FIXED_KINDS = ("canonical-trace", "haar", "combination", "tensor",
-                "free-product")
-
-
 def _validate_state_decl(decl, algebra: AlgebraSpec):
     if not isinstance(decl, dict) or "kind" not in decl:
         raise InputError("state declaration must be an object with a 'kind'")
@@ -201,12 +198,11 @@ def _validate_state_decl(decl, algebra: AlgebraSpec):
     _parse_fixed_state(decl, algebra)  # raises on malformed declarations
 
 
-def _tensored_per_factor(make: Callable[[], StateSpec],
-                         algebra: AlgebraSpec) -> StateSpec:
+def _tensored_per_factor(state: StateSpec, algebra: AlgebraSpec) -> StateSpec:
     tags = algebra.factor_tags
     if len(tags) <= 1:
-        return make()
-    return TensorProductState(tuple((t, make()) for t in tags))
+        return state
+    return TensorProductState(tuple((t, state) for t in tags))
 
 
 def _parse_fixed_state(decl: dict, algebra: AlgebraSpec) -> StateSpec:
@@ -214,12 +210,9 @@ def _parse_fixed_state(decl: dict, algebra: AlgebraSpec) -> StateSpec:
     if kind == "canonical-trace":
         return CanonicalTrace()
     if kind == "haar":
-        dims = decl.get("dims", [1])
-        states = [HaarTrace(int(x)) for x in dims]
-        if len(states) == 1:
-            return _tensored_per_factor(lambda: states[0], algebra)
-        psi = make_increasing(states)[-1]
-        return _tensored_per_factor(lambda: psi, algebra)
+        states = [HaarTrace(int(x)) for x in decl.get("dims", [1])]
+        psi = states[0] if len(states) == 1 else make_increasing(states)[-1]
+        return _tensored_per_factor(psi, algebra)
     if kind == "combination":
         terms = tuple((as_fraction(t["weight"]),
                        _parse_fixed_state(t["state"], algebra))
@@ -243,9 +236,11 @@ def build_state_family(decl: dict, algebra: AlgebraSpec,
                        ) -> Callable[[int], StateSpec]:
     """Order-indexed state family d -> psi_d.
 
-    Only 'haar-increasing' depends on the order: psi_d is the geometric
-    combination of HaarTrace states at dims[:d] (default dims 1..d), applied
-    per tensor factor and tensored. All other kinds are constant families.
+    Two kinds depend on the order: 'haar-increasing' takes the geometric
+    combination of HaarTrace states at dims[:d] (default dims 1..d), and
+    'haar-sequence' the HaarTrace at dims[d-1] (default dim d); both are
+    applied per tensor factor and tensored. All other kinds are constant
+    families.
     """
     kind = decl.get("kind")
     if kind == "haar-increasing":
@@ -254,8 +249,7 @@ def build_state_family(decl: dict, algebra: AlgebraSpec,
         def family(d: int) -> StateSpec:
             pool = list(dims)[:d] if dims else list(range(1, d + 1))
             base = [HaarTrace(int(x)) for x in pool]
-            psi = make_increasing(base)[-1]
-            return _tensored_per_factor(lambda: psi, algebra)
+            return _tensored_per_factor(make_increasing(base)[-1], algebra)
 
         return family
     if kind == "haar-sequence":
@@ -267,12 +261,13 @@ def build_state_family(decl: dict, algebra: AlgebraSpec,
             pool = list(dims) if dims else []
             dim = int(pool[d - 1]) if d <= len(pool) else (
                 int(pool[-1]) if pool else d)
-            return _tensored_per_factor(lambda: HaarTrace(dim), algebra)
+            return _tensored_per_factor(HaarTrace(dim), algebra)
 
         return family
     if dims_override:
         if kind != "haar":
-            raise InputError("--dims only applies to haar/haar-increasing states")
+            raise InputError("--dims only applies to haar, haar-sequence and "
+                             "haar-increasing states")
         decl = dict(decl, dims=list(dims_override))
     fixed = _parse_fixed_state(decl, algebra)
     return lambda d: fixed

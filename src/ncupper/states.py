@@ -104,7 +104,7 @@ def evaluate_sums(state: StateSpec,
         for w, c in terms:
             w = canonicalize(w, algebra)
             if w not in values:
-                if (gens := frozenset(l.gen for l in w.letters)) not in checked:
+                if (gens := frozenset(l.gen for l in w)) not in checked:
                     _check(state, gens, algebra)
                     checked.add(gens)
                 # a class has a subset of w's generators, so it passes too
@@ -151,7 +151,7 @@ def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
           budget: int) -> Fraction:
     # word is a checked class representative, canonical factor by factor
     if isinstance(state, CanonicalTrace):
-        return Fraction(1) if word.is_identity else Fraction(0)
+        return Fraction(0) if word else Fraction(1)
     if isinstance(state, HaarTrace):
         return _eval_haar(state, word, algebra, budget)
     if isinstance(state, Combination):
@@ -164,10 +164,10 @@ def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
 
 def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
-    if word.is_identity:
+    if not word:
         return Fraction(1)
     dim = state.dim
-    if algebra.generator(word.letters[0].gen).kind == "hermitian-unitary":
+    if algebra.generator(word[0].gen).kind == "hermitian-unitary":
         dim *= 2
     atoms, constants = trace_atoms(word, algebra, dim)
     return exact_trace_moment(atoms, dim, constants, budget) / dim
@@ -180,7 +180,7 @@ def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
     U_b D U_b* with D = diag(I_{dim//2}, -I_{dim - dim//2})."""
     atoms: list[Atom] = []
     constants = {}
-    for l in word.letters:
+    for l in word:
         kind = algebra.generator(l.gen).kind
         if kind == "unitary":
             atoms.append(UnitaryAtom(l.gen, l.star))
@@ -197,8 +197,7 @@ def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,
                  budget: int) -> Fraction:
     value = Fraction(1)
     for tag, s in sorted(dict(state.factors).items()):
-        sub = Word(tuple(l for l in word.letters
-                         if algebra.generator(l.gen).factor == tag))
+        sub = tuple(l for l in word if algebra.generator(l.gen).factor == tag)
         value *= _eval(s, sub, algebra, budget)
     return value
 
@@ -207,8 +206,8 @@ def _eval_free(state: FreeProductState, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
     comp_of = {g: ci for ci, (gens, _) in enumerate(state.components)
                for g in gens}
-    blocks = tuple((ci, NCPolynomial.from_word(Word(tuple(run))))
-                   for ci, run in groupby(word.letters,
+    blocks = tuple((ci, NCPolynomial.from_word(tuple(run)))
+                   for ci, run in groupby(word,
                                           key=lambda l: comp_of[l.gen]))
 
     def walk(prefix: tuple, rest: tuple) -> Fraction:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncupper.algebra import word_str
 from ncupper.cli import main
 from ncupper.problems import (bundled_problem_path, parse_problem,
                               parse_problem_dict, parse_word_tokens,
@@ -120,10 +121,23 @@ class TestParsing:
     def test_word_tokens(self):
         p = parse_problem(bundled_problem_path("free-unitaries"))
         w = parse_word_tokens("u1 u2* u1", p.algebra)
-        assert str(w) == "u1 u2* u1"
-        assert parse_word_tokens("1", p.algebra).is_identity
+        assert word_str(w) == "u1 u2* u1"
+        assert parse_word_tokens("1", p.algebra) == ()
         with pytest.raises(InputError):
             parse_word_tokens("nope", p.algebra)
+
+    def test_serialized_terms_sort_on_word_text(self):
+        # the term order feeds input_hash: terms sort on each word's problem
+        # syntax ("1" for the unit), so "u1" precedes "u1 u2"
+        words = ["u2* u1*", "u1*", "u1 u2", "u1", "1"]
+        data = {"algebra": {"generators": [{"id": "u1", "kind": "unitary"},
+                                           {"id": "u2", "kind": "unitary"}]},
+                "objective": [{"coefficient": "1", "word": [
+                    {"gen": t.rstrip("*"), "star": t.endswith("*")}
+                    for t in w.split() if t != "1"]} for w in words]}
+        terms = serialize_problem(parse_problem_dict(data))["objective"]
+        assert [" ".join(l["gen"] + "*" * l["star"] for l in t["word"]) or "1"
+                for t in terms] == ["1", "u1", "u1 u2", "u1*", "u2* u1*"]
 
 
 class TestSolveCommand:
@@ -218,6 +232,47 @@ class TestSolveCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "tol must be finite and >= 0" in err[0]
+
+    @pytest.mark.parametrize("command, env", [
+        (["solve", "--budget", "-1"], {}),
+        (["eval-state", "b1", "--budget", "-3"], {}),
+        (["mc-check", "b1", "--dim", "2", "--budget", "-1"], {}),
+        (["solve"], {"NCUPPER_BUDGET": "-1"}),
+        (["mc-check", "b1", "--dim", "2"], {"NCUPPER_BUDGET": "-1"})])
+    def test_negative_budget_exit_2(self, capsys, monkeypatch, command, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [command[0], str(bundled_problem_path("chsh")), *command[1:]]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before any work
+        err = err.splitlines()
+        assert len(err) == 1 and "--budget must be >= 0" in err[0]
+
+    @pytest.mark.parametrize("command, env", [
+        (["solve", "--dims", ","], {}),
+        (["eval-state", "b1", "--dims", ","], {}),
+        (["solve"], {"NCUPPER_DIMS": ","}),
+        # order 1 uses only the first dim, but every dim is checked, as in
+        # a problem file
+        (["solve", "--order", "1", "--dims", "2,0"], {})])
+    def test_empty_or_nonpositive_dims_exit_2(self, capsys, monkeypatch,
+                                              command, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [command[0], str(bundled_problem_path("chsh")), *command[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad dims list")
+
+    def test_dims_on_fixed_state_names_the_haar_kinds(self, tmp_path, capsys):
+        data = dict(_BUNDLED_DICTS["chsh"], state={"kind": "canonical-trace"})
+        path = tmp_path / "fixed.problem"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--order", "1", "--dims", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --dims only applies to haar, haar-sequence and "
+            "haar-increasing states"]
 
     def test_zero_tol_solves(self, capsys):
         assert main(["solve", str(bundled_problem_path("chsh")),

@@ -63,10 +63,11 @@ class TestExactTraceMoment:
         with pytest.raises(BudgetExceededError):
             exact_trace_moment(word, 2, budget=10)
 
-    def test_budget_guard_after_cached_value(self):
+    def test_budget_checked_on_every_call(self):
         # test_budget_guard's word with k = 3 (36 configurations, where k = 6
-        # takes seconds under the default budget): a memoized moment is
-        # still refused under a smaller budget
+        # takes seconds under the default budget): the engine keeps no memo,
+        # so a moment it has just computed is still refused under a smaller
+        # budget
         word = [U("a")] * 3 + [U("a", True)] * 3
         assert exact_trace_moment(word, 2) == 2
         with pytest.raises(BudgetExceededError):

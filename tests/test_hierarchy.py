@@ -71,7 +71,7 @@ class TestMomentMatrix:
         def mc_state(word):
             vals = np.ones(samples)
             for tag in (0, 1):
-                sub = [l.gen for l in word.letters
+                sub = [l.gen for l in word
                        if chsh.algebra.generator(l.gen).factor == tag]
                 if not sub:
                     continue
@@ -112,8 +112,8 @@ class TestMomentMatrix:
 
         monkeypatch.setattr(states, "_eval", counted)
         m = moment_matrix(f, psi, basis, algebra)
-        classes = {tracial_class(canonicalize(Word(
-            star_word(u).letters + w.letters + v.letters), algebra), algebra)
+        classes = {tracial_class(canonicalize(
+            star_word(u) + w + v, algebra), algebra)
             for u in basis for v in basis for w in f.terms}
         assert len(seen) == len(set(seen)) == len(classes)
         assert set(seen) == classes
