@@ -15,11 +15,12 @@ exact rationals throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +36,16 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     raise InputError(f"not a rational: {x!r}")
+
+
+def exact_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of p / q over (p, q) integer pairs with q > 0: numerators
+    are added per denominator, and one Fraction is made at the end."""
+    nums: dict[int, int] = {}
+    for p, q in terms:
+        nums[q] = nums.get(q, 0) + p
+    den = math.lcm(*nums)
+    return Fraction(sum(p * (den // q) for q, p in nums.items()), den)
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,21 @@ class AlgebraSpec:
     def factor_tags(self) -> tuple[int, ...]:
         return tuple(sorted({g.factor for g in self.generators}))
 
+    @cached_property
+    def letters(self) -> dict["Letter", "LetterInfo"]:
+        """Every letter of the algebra, starred or not, with its table row."""
+        out = {}
+        for g in self.generators:
+            hermitian = g.kind == "hermitian-unitary"
+            for star in (False, True):
+                normal = Letter(g.id, star and not hermitian)
+                adjoint = Letter(g.id, not (normal.star or hermitian))
+                # a unitary or hermitian-unitary letter cancels its adjoint
+                partner = None if g.kind == "general" else adjoint
+                out[Letter(g.id, star)] = LetterInfo(normal, partner, adjoint,
+                                                     g.factor)
+        return out
+
     def generator(self, gid: str) -> GeneratorSpec:
         try:
             return self.by_id[gid]
@@ -87,6 +113,15 @@ class Letter(NamedTuple):
 
 
 Word = tuple[Letter, ...]  # a product of letters; () is the unit 1
+
+
+class LetterInfo(NamedTuple):
+    """A letter's row in ``AlgebraSpec.letters``."""
+
+    normal: Letter  # hermitian-unitary stars dropped
+    partner: Letter | None  # the normal letter it cancels against, if any
+    adjoint: Letter  # normal form of its star
+    factor: int  # tensor-factor tag
 
 
 def word_str(word: Word) -> str:
@@ -103,12 +138,6 @@ def word_sort_key(word: Word, algebra: AlgebraSpec):
     return (len(word), tuple(_letter_key(l, algebra) for l in word))
 
 
-def _cancels(a: Letter, b: Letter, kind: str) -> bool:
-    # hermitian-unitary stars are already normalized away
-    return a.gen == b.gen and (kind == "hermitian-unitary"
-                               or kind == "unitary" and a.star != b.star)
-
-
 def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
     """Unique canonical representative of a word modulo the relations.
 
@@ -116,17 +145,21 @@ def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
     hermitian-unitary stars are dropped, and adjacent inverse pairs are
     cancelled until a fixed point.
     """
-    letters = [(algebra.generator(l.gen), l) for l in word]
+    table = algebra.letters
+    try:
+        rows = [table[l] for l in word]
+    except KeyError:
+        for l in word:
+            algebra.generator(l.gen)  # an unknown id raises InputError
+        raise InputError(f"bad letter in {word!r}") from None
     if len(algebra.factor_tags) > 1:
-        letters.sort(key=lambda e: e[0].factor)  # stable
+        rows.sort(key=lambda row: row.factor)  # stable
     stack: list[Letter] = []
-    for g, l in letters:
-        if l.star and g.kind == "hermitian-unitary":
-            l = Letter(l.gen)
-        if stack and _cancels(stack[-1], l, g.kind):
+    for normal, partner, _, _ in rows:
+        if stack and stack[-1] == partner:
             stack.pop()
         else:
-            stack.append(l)
+            stack.append(normal)
     return tuple(stack)
 
 
@@ -135,17 +168,19 @@ def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
     the moves that keep every real-valued tracial state: cyclic cancellation
     (u ... u*, b ... b) and rotation within each tensor factor, valid since
     factors commute, and the adjoint of the whole word."""
-    by_id = algebra.by_id
+    table = algebra.letters
+    if len(algebra.factor_tags) == 1:
+        runs = [word]
+    else:
+        runs = [tuple(run) for _, run in groupby(
+            word, key=lambda l: table[l].factor)]
     forward, adjoint = (), ()  # per-factor least rotations, concatenated
-    for _, run in groupby(word, key=lambda l: by_id[l.gen].factor):
-        run = tuple(run)
-        while len(run) > 1 and _cancels(run[-1], run[0],
-                                        by_id[run[0].gen].kind):
+    for run in runs:
+        while len(run) > 1 and run[-1] == table[run[0]].partner:
             run = run[1:-1]
         forward += _least_rotation(run)
-        adjoint += _least_rotation(tuple(
-            Letter(l.gen, by_id[l.gen].kind != "hermitian-unitary"
-                   and not l.star) for l in reversed(run)))
+        adjoint += _least_rotation(tuple(table[l].adjoint
+                                         for l in reversed(run)))
     return min(forward, adjoint)
 
 

@@ -7,7 +7,8 @@ Subcommands:
   eval-state  evaluate the problem's state on a word
 
 Every optional flag takes its default from an NCUPPER_<NAME> environment
-variable (NCUPPER_ORDER for --order); explicit flags win. The required flags,
+variable (NCUPPER_ORDER for --order); explicit flags win, and a subcommand
+reads only the variables of its own flags. The required flags,
 weingarten --n/--d and mc-check --dim, have no mirror. Exit codes: 0 success,
 2 input error, 3 budget exceeded, 4 numerical failure.
 """
@@ -51,6 +52,22 @@ def _dims_list(text: str) -> list[int]:
     return dims
 
 
+# Per subcommand: (flag dest, cast, fallback) of each NCUPPER_<DEST> mirror.
+# Only the chosen subcommand's variables are read, after parsing, so a bad
+# variable that another subcommand reads does not stop this one.
+_ENV_FLAGS = {
+    "solve": (("order", int, None), ("hierarchy", str, None),
+              ("dims", _dims_list, None), ("tol", float, DEFAULT_TOL),
+              ("budget", int, DEFAULT_BUDGET), ("seed", int, 0),
+              ("out", str, None), ("format", str, "table")),
+    "weingarten": (),
+    "mc-check": (("samples", int, 10 ** 5), ("seed", int, 0),
+                 ("budget", int, DEFAULT_BUDGET)),
+    "eval-state": (("order", int, None), ("dims", _dims_list, None),
+                   ("budget", int, DEFAULT_BUDGET)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ncupper",
                                   description="Upper bound hierarchies for "
@@ -60,21 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the hierarchies on a problem")
     solve.add_argument("problem")
-    solve.add_argument("--order", type=int,
-                       default=_env_default("ORDER", int))
-    solve.add_argument("--hierarchy", choices=("lambda", "eta", "both"),
-                       default=_env_default("HIERARCHY", str))
-    solve.add_argument("--dims", type=_dims_list,
-                       default=_env_default("DIMS", _dims_list))
-    solve.add_argument("--tol", type=float,
-                       default=_env_default("TOL", float, DEFAULT_TOL))
-    solve.add_argument("--budget", type=int,
-                       default=_env_default("BUDGET", int, DEFAULT_BUDGET))
-    solve.add_argument("--seed", type=int,
-                       default=_env_default("SEED", int, 0))
-    solve.add_argument("--out", default=_env_default("OUT", str))
-    solve.add_argument("--format", choices=("table", "machine"),
-                       default=_env_default("FORMAT", str, "table"))
+    solve.add_argument("--order", type=int)
+    solve.add_argument("--hierarchy", choices=("lambda", "eta", "both"))
+    solve.add_argument("--dims", type=_dims_list)
+    solve.add_argument("--tol", type=float)
+    solve.add_argument("--budget", type=int)
+    solve.add_argument("--seed", type=int)
+    solve.add_argument("--out")
+    solve.add_argument("--format", choices=("table", "machine"))
 
     wg = sub.add_parser("weingarten", help="print the Weingarten table")
     wg.add_argument("--n", type=int, required=True)
@@ -84,21 +94,26 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("problem")
     mc.add_argument("word", help="word in problem syntax, e.g. 'b1 b2' or 'u1 u2*'")
     mc.add_argument("--dim", type=int, required=True)
-    mc.add_argument("--samples", type=int,
-                    default=_env_default("SAMPLES", int, 10 ** 5))
-    mc.add_argument("--seed", type=int, default=_env_default("SEED", int, 0))
-    mc.add_argument("--budget", type=int,
-                    default=_env_default("BUDGET", int, DEFAULT_BUDGET))
+    mc.add_argument("--samples", type=int)
+    mc.add_argument("--seed", type=int)
+    mc.add_argument("--budget", type=int)
 
     ev = sub.add_parser("eval-state", help="evaluate the state on a word")
     ev.add_argument("problem")
     ev.add_argument("word")
-    ev.add_argument("--order", type=int, default=_env_default("ORDER", int))
-    ev.add_argument("--dims", type=_dims_list,
-                    default=_env_default("DIMS", _dims_list))
-    ev.add_argument("--budget", type=int,
-                    default=_env_default("BUDGET", int, DEFAULT_BUDGET))
+    ev.add_argument("--order", type=int)
+    ev.add_argument("--dims", type=_dims_list)
+    ev.add_argument("--budget", type=int)
     return top
+
+
+def _apply_env(args) -> None:
+    """Fill each flag of the chosen subcommand that was not given from its
+    NCUPPER_* variable, else its fallback; every set variable is parsed."""
+    for dest, cast, fallback in _ENV_FLAGS[args.command]:
+        value = _env_default(dest.upper(), cast, fallback)
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _sig6(x: float) -> str:
@@ -228,8 +243,8 @@ def run_eval_state(args):
 
 def main(argv=None) -> int:
     try:
-        # NCUPPER_* defaults are parsed while the parser is built
         args = build_parser().parse_args(argv)
+        _apply_env(args)
         if getattr(args, "budget", 0) < 0:
             raise InputError(f"--budget must be >= 0, got {args.budget}")
         if args.command == "solve":

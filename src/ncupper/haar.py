@@ -17,11 +17,11 @@ sum over index values of their signs. Constants being diagonal +-1 matrices
 keeps loop values integer, so every result is an exact rational.
 
 Block collapse. A symbol is a block symbol when every occurrence of it sits
-in a cyclic triple U D U* with one signature constant D, the shape that a
-hermitian-unitary letter b = U D U* expands to. The inner indices of its
-blocks are joined only to each other, through tau, into one loop per cycle c
-of tau carrying tr(D^|c|) (dim for even |c|, 2r - dim for odd |c|). Summing
-tau out leaves the class function
+in a cyclic triple U D U* around one named signature constant D, the shape
+that a hermitian-unitary letter b = U D U* expands to. The inner indices of
+its blocks are joined only to each other, through tau, into one loop per
+cycle c of tau carrying tr(D^|c|) (dim for even |c|, 2r - dim for odd |c|).
+Summing tau out leaves the class function
 
     G_k(sigma) = sum_tau Wg(sigma tau^-1, dim) prod_{c in tau} tr(D^|c|),
 
@@ -31,24 +31,36 @@ of the left outer gap of block i. Outer gaps only lead to outer gaps, so the
 cycles walked are those of the outer gaps. Plain symbols keep the
 (sigma, tau) pairs.
 
-Parity pruning. When a block symbol's G_k vanishes on every cycle type (for
-example odd k with r = dim/2) the moment is 0 and nothing is enumerated.
-The budget counts k! per block symbol and (k!)^2 per plain symbol, after
-this pruning.
+Histogram, then read. The dim enters a configuration only through
+Wg(sigma_s tau_s^-1, dim) per plain symbol, G_k(sigma_s) per block symbol
+and its loop values (Collins-Sniady, CMP 264, 2006). So
+``weingarten_histogram`` enumerates the configurations once and counts them
+in integers by a dim-free key: the cycle type of sigma_s tau_s^-1 per plain
+symbol, the cycle type of sigma_s per block symbol, and the loops, each as
+the sorted names of the constants it carries. ``read_histogram`` is the
+short exact sum over the keys at one (dim, constants) point.
+``exact_trace_moment`` builds and reads at one point; a combination of Haar
+traces in ``states`` reads one histogram at each of its dims.
 
-Memo. The engine keeps no memo: every call enumerates, so every call
+Parity pruning. When a block symbol has an odd number of blocks around a D
+that is traceless (r = dim/2) at every point the histogram is built for,
+its G_k vanishes on every cycle type, so the moment is 0 and nothing is
+enumerated. The budget counts k! per block symbol and (k!)^2 per plain
+symbol, after this pruning, once per build however many points it serves.
+
+Memo. The engine keeps no memo: every build enumerates, so every build
 checks its budget. The one moment memo is ``states._eval``, keyed on
 (state, tracial class, algebra, budget). The tracial class
 (``algebra.tracial_class``: cyclic cancellation and rotation within each
 tensor factor, and the adjoint) keeps the value of every real tracial state,
 and tr w depends only on the class of w under rotation and adjoint (the
 constants being real diagonal), so a class has one moment, and each class
-reaches this engine once per Haar trace, algebra and budget, already
-cyclically reduced: a memo here would never be hit.
+reaches this engine once per Haar trace or combination of them, algebra and
+budget, already cyclically reduced: a memo here would never be hit.
 
-Word check. ``exact_trace_moment`` and the Monte Carlo oracle
-``mc_trace_moments`` check a word through one helper (dim >= 1, a non-empty
-word, known constants of size dim) and both work on its resolved atoms.
+Word check. ``weingarten_histogram``, at each of its points, and the Monte
+Carlo oracle ``mc_trace_moments`` check a word through one helper
+(dim >= 1, a non-empty word, known constants of size dim).
 
 Monte Carlo. ``mc_trace_moments`` draws one batch of Haar unitaries per
 symbol and chunk, then walks the distinct words in sorted order as a prefix
@@ -69,13 +81,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .algebra import exact_sum
 from .errors import BudgetExceededError, InputError
 from .symcomb import (block_weingarten, compose, cycle_type, inverse,
-                      partitions, weingarten)
+                      weingarten)
 
 DEFAULT_BUDGET = 10 ** 8
 _MC_CHUNK = 20000  # fixes the Monte Carlo sample stream
@@ -136,61 +149,71 @@ def _checked_atoms(word: Sequence[Atom], dim: int,
     return tuple(out)
 
 
-def _block_symbols(resolved: tuple,
-                   unstarred: dict[str, list[int]]) -> dict[str, int]:
-    """Symbol -> r for every symbol of a balanced word whose occurrences are
-    all cyclic triples U D U* sharing one signature constant
-    D = diag(I_r, -I_{dim-r})."""
-    L = len(resolved)
+def _block_symbols(word: Sequence[Atom],
+                   unstarred: dict[str, list[int]]) -> dict[str, str]:
+    """Symbol -> constant name for every symbol of a balanced word whose
+    occurrences are all cyclic triples U D U* around one named constant D."""
+    L = len(word)
     out = {}
     for s, P in unstarred.items():
-        rs = set()
+        names = set()
         for p in P:
-            mid, end = resolved[(p + 1) % L], resolved[(p + 2) % L]
-            if mid[0] != "c" or end != ("u", s, True):
+            mid, end = word[(p + 1) % L], word[(p + 2) % L]
+            if not isinstance(mid, ConstantAtom) or end != UnitaryAtom(s, True):
                 break
-            rs.add(mid[2])
+            names.add(mid.name)
         else:
-            if len(rs) == 1:
-                out[s] = rs.pop()
+            if len(names) == 1:
+                out[s] = names.pop()
     return out
 
 
-def exact_trace_moment(word: Sequence[Atom], dim: int,
-                       constants: Mapping[str, SignatureMatrix] | None = None,
-                       budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact value of E[tr w(U_1, ..., U_k, D_1, ...)] over independent Haar
-    unitaries of size dim, with fixed signature-matrix constants."""
-    resolved = _checked_atoms(word, dim, constants)
-    L = len(resolved)
+class Histogram(NamedTuple):
+    """The dim-free Weingarten expansion of one trace word. ``counts`` maps
+    (cycle type of sigma_s tau_s^-1 per plain symbol, cycle type of sigma_s
+    per block symbol, loops) to its number of configurations; a loop is the
+    sorted tuple of the names of the constants it carries. ``blocks`` names
+    the constant of each block symbol, in key order."""
+
+    blocks: tuple[str, ...]
+    counts: dict[tuple, int]
+
+
+def weingarten_histogram(
+        word: Sequence[Atom],
+        points: Sequence[tuple[int, Mapping[str, SignatureMatrix] | None]],
+        budget: int = DEFAULT_BUDGET) -> Histogram:
+    """Count the Weingarten configurations of E[tr w] by their dim-free key,
+    for reading at each of the given (dim, constants) points. The word is
+    checked at every point; the points also decide parity pruning."""
+    for dim, constants in points:
+        _checked_atoms(word, dim, constants)
+    L = len(word)
     # occurrence lists per unitary symbol
     unstarred: dict[str, list[int]] = {}
     starred: dict[str, list[int]] = {}
-    for pos, a in enumerate(resolved):
-        if a[0] == "u":
-            (starred if a[2] else unstarred).setdefault(a[1], []).append(pos)
+    for pos, a in enumerate(word):
+        if isinstance(a, UnitaryAtom):
+            (starred if a.star else unstarred).setdefault(a.symbol, []).append(
+                pos)
     symbols = sorted(set(unstarred) | set(starred))
     for s in symbols:
         if len(unstarred.get(s, ())) != len(starred.get(s, ())):
-            return Fraction(0)  # phase invariance kills unbalanced words
-    blocks = _block_symbols(resolved, unstarred)
+            return Histogram((), {})  # phase invariance kills unbalanced words
+    blocks = _block_symbols(word, unstarred)
     plain = [s for s in symbols if s not in blocks]
-
-    # A block symbol sums its tau side in closed form: the inner gaps of its
-    # blocks only meet each other, so only sigma is enumerated, with weight
-    # G(cycle type of sigma). A G table that is identically zero ends here.
-    tables = {}
-    for s, r in sorted(blocks.items()):
-        tables[s] = {mu: block_weingarten(mu, dim, r)
-                     for mu in partitions(len(unstarred[s]))}
-        if not any(tables[s].values()):
-            return Fraction(0)
-    counts = [len(unstarred[s]) for s in plain]
+    block_syms = sorted(blocks)
+    # An odd number of blocks around a D that is traceless at every point
+    # has G = 0 on every cycle type, so the moment ends here.
+    for s in block_syms:
+        if len(unstarred[s]) % 2 and all(
+                2 * constants[blocks[s]].r == dim for dim, constants in points):
+            return Histogram((), {})
     n_configs = 1
-    for s in blocks:
+    for s in block_syms:
         n_configs *= math.factorial(len(unstarred[s]))
-    for k in counts:
-        n_configs *= math.factorial(k) ** 2
+    for s in plain:
+        n_configs *= math.factorial(len(unstarred[s])) ** 2
     if n_configs > budget:
         raise BudgetExceededError(
             f"Weingarten expansion needs {n_configs} configurations "
@@ -202,75 +225,119 @@ def exact_trace_moment(word: Sequence[Atom], dim: int,
     # constants and their inner gaps are already inside G, and outer gaps
     # only lead to outer gaps, so inner ones are never visited.
     nxt = [(g + 1) % L for g in range(L)]
-    signs = [a[2] if a[0] == "c" else None for a in resolved]
+    names = [a.name if isinstance(a, ConstantAtom) else None for a in word]
     block_choices = []
     inner: set[int] = set()
-    for s, table in tables.items():
+    for s in block_syms:
         P = unstarred[s]
         # left outer gap of block i -> right outer gap of block sigma(i)
         block_choices.append([
-            (g, [(P[i], (P[si] + 3) % L) for i, si in enumerate(sigma)])
-            for sigma in itertools.permutations(range(len(P)))
-            if (g := table[cycle_type(sigma)])])
+            (cycle_type(sigma), [(P[i], (P[si] + 3) % L)
+                                 for i, si in enumerate(sigma)])
+            for sigma in itertools.permutations(range(len(P)))])
         for p in P:
             inner.update(((p + 1) % L, (p + 2) % L))
     outer_gaps = [g for g in range(L) if g not in inner]
+    # per plain symbol: each sigma with its rows gap P[i] -> gap
+    # Q[sigma(i)] + 1, each tau^-1 with its columns gap Q[tau(i)] -> gap
+    # P[i] + 1, and the cycle type of every permutation, for sigma tau^-1
+    sigma_choices, tau_choices, classes = [], [], []
+    for s in plain:
+        P, Q = unstarred[s], starred[s]
+        perms = list(itertools.permutations(range(len(P))))
+        sigma_choices.append([(p, [(P[i], (Q[qi] + 1) % L)
+                                   for i, qi in enumerate(p)]) for p in perms])
+        tau_choices.append([(inverse(p), [(Q[ti], (P[i] + 1) % L)
+                                          for i, ti in enumerate(p)])
+                            for p in perms])
+        classes.append({p: cycle_type(p) for p in perms})
 
-    total = Fraction(0)
-    perm_lists = [list(itertools.permutations(range(k))) for k in counts]
+    hist: dict[tuple, int] = {}
     for choice in itertools.product(*block_choices):
-        block_weight = math.prod((g for g, _ in choice), start=Fraction(1))
-        for _, rows in choice:
-            for a, b in rows:
+        for _, edges in choice:
+            for a, b in edges:
                 nxt[a] = b
-        for sigmas in itertools.product(*perm_lists):
-            # rows: gap P[i] -> gap Q[sigma(i)] + 1
-            for s, sigma in zip(plain, sigmas):
-                P, Q = unstarred[s], starred[s]
-                for i, qi in enumerate(sigma):
-                    nxt[P[i]] = (Q[qi] + 1) % L
-            for taus in itertools.product(*perm_lists):
-                weight = block_weight
-                for s, sigma, tau in zip(plain, sigmas, taus):
-                    P, Q = unstarred[s], starred[s]
-                    # columns: gap Q[tau(i)] -> gap P[i] + 1
-                    for i, ti in enumerate(tau):
-                        nxt[Q[ti]] = (P[i] + 1) % L
-                    weight *= weingarten(
-                        cycle_type(compose(sigma, inverse(tau))), dim)
-                total += weight * _loop_value(nxt, signs, outer_gaps, dim)
-    return total
+        nus = tuple(nu for nu, _ in choice)
+        for sigmas in itertools.product(*sigma_choices):
+            for _, edges in sigmas:
+                for a, b in edges:
+                    nxt[a] = b
+            for taus in itertools.product(*tau_choices):
+                for _, edges in taus:
+                    for a, b in edges:
+                        nxt[a] = b
+                mus = tuple(c[compose(sigma, tau_inv)] for c, (sigma, _),
+                            (tau_inv, _) in zip(classes, sigmas, taus))
+                key = (mus, nus, _loops(nxt, names, outer_gaps))
+                hist[key] = hist.get(key, 0) + 1
+    return Histogram(tuple(blocks[s] for s in block_syms), hist)
 
 
-def _loop_value(nxt: list[int], signs: list[int | None], gaps: list[int],
-                dim: int) -> int:
-    """Product over the cycles of the successor map through the given gaps
-    of the sum over index values of the signs of the constants (r, or None
-    for a unitary) at the gaps of the cycle; a cycle with no constants gives
-    dim."""
+def _loops(nxt: list[int], names: list[str | None], gaps: list[int]) -> tuple:
+    """The cycles of the successor map through the given gaps, each as the
+    sorted tuple of the constant names at its gaps, sorted."""
     seen = [False] * len(nxt)
-    value = 1
+    loops = []
     for g in gaps:
         if seen[g]:
             continue
-        rs = []
+        loop = []
         while not seen[g]:
             seen[g] = True
-            if signs[g] is not None:
-                rs.append(signs[g])
+            if names[g] is not None:
+                loop.append(names[g])
             g = nxt[g]
-        if not rs:
-            value *= dim
-            continue
-        s = 0
-        for i in range(dim):
-            prod = 1
-            for r in rs:
-                if i >= r:
-                    prod = -prod
-            s += prod
-        value *= s
-    return value
+        loops.append(tuple(sorted(loop)))
+    return tuple(sorted(loops))
+
+
+def read_histogram(hist: Histogram, dim: int,
+                   constants: Mapping[str, SignatureMatrix] | None = None
+                   ) -> Fraction:
+    """E[tr w] at one of the points the histogram of w was built for: each
+    key weighs prod Wg(mu_s, dim) prod G(nu_s, dim, r_s) times its loop
+    values, and counts as often as its configurations; the sum is exact in
+    integers."""
+    rs = {name: m.r for name, m in (constants or {}).items()}
+    loop_values: dict[tuple, int] = {}
+    terms = []
+    for (mus, nus, loops), n in hist.counts.items():
+        weights = [weingarten(mu, dim) for mu in mus]
+        weights += [block_weingarten(nu, dim, rs[name])
+                    for name, nu in zip(hist.blocks, nus)]
+        for loop in loops:
+            if loop not in loop_values:
+                loop_values[loop] = _loop_value(loop, dim, rs)
+            n *= loop_values[loop]
+        den = 1
+        for x in weights:
+            n *= x.numerator
+            den *= x.denominator
+        terms.append((n, den))
+    return exact_sum(terms)
+
+
+def _loop_value(loop: tuple[str, ...], dim: int, rs: Mapping[str, int]) -> int:
+    """Sum over index values of the product of the signs of the loop's
+    constants; a loop with no constants gives dim."""
+    s = 0
+    for i in range(dim):
+        prod = 1
+        for name in loop:
+            if i >= rs[name]:
+                prod = -prod
+        s += prod
+    return s
+
+
+def exact_trace_moment(word: Sequence[Atom], dim: int,
+                       constants: Mapping[str, SignatureMatrix] | None = None,
+                       budget: int = DEFAULT_BUDGET) -> Fraction:
+    """Exact value of E[tr w(U_1, ..., U_k, D_1, ...)] over independent Haar
+    unitaries of size dim, with fixed signature-matrix constants: the
+    word's histogram, read at (dim, constants)."""
+    hist = weingarten_histogram(word, [(dim, constants)], budget)
+    return read_histogram(hist, dim, constants)
 
 
 # --- Monte Carlo oracle ---------------------------------------------------

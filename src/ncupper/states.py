@@ -6,7 +6,10 @@ Supported variants:
                             hermitian-unitary generators each letter b is
                             expanded as U b' U* with b' = diag(I_d, -I_d)
                             of size 2*dim
-  * Combination             positive rational convex combination
+  * Combination             positive rational convex combination; its
+                            HaarTrace terms read one dim-free Weingarten
+                            histogram of the word (``haar``) at each of
+                            their dims, any other term recurses
   * TensorProductState      factor-by-factor evaluation (trace multiplies
                             across tensor factors)
   * FreeProductState        centering recursion: alternating products of
@@ -15,7 +18,9 @@ Supported variants:
 Every variant is tracial with real values (for combinations, tensor and free
 products: Voiculescu-Dykema-Nica, "Free random variables", 1992), so values
 are memoized on ``algebra.tracial_class``; a non-tracial state added later
-must opt out. Whether a state can evaluate a word (one generator kind per
+must opt out. ``_eval`` is the one memo, so a combination builds one
+histogram per class, and its budget counts the configurations once for all
+of its dims. Whether a state can evaluate a word (one generator kind per
 Haar trace, a free product covering every generator) is checked on the
 canonical word before reduction: ``u b u*`` is refused, its class ``b`` not.
 """
@@ -28,11 +33,12 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Sequence, Union
 
-from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize, multiply,
-                      tracial_class)
+from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize,
+                      exact_sum, multiply, tracial_class)
 from .errors import InputError
 from .haar import (DEFAULT_BUDGET, Atom, ConstantAtom, SignatureMatrix,
-                   UnitaryAtom, exact_trace_moment)
+                   UnitaryAtom, exact_trace_moment, read_histogram,
+                   weingarten_histogram)
 
 
 @dataclass(frozen=True)
@@ -95,12 +101,13 @@ def evaluate_sums(state: StateSpec,
     """Exact sum of c * psi(w) over each iterable of (word, c) terms, in order.
     Every word is canonicalized and checked, then reduced to its tracial
     class; each new class is evaluated once by ``_eval``, the one moment
-    memo, on (state, class, algebra, budget) for the process."""
+    memo, on (state, class, algebra, budget) for the process. Each sum is
+    added in integers by ``exact_sum``."""
     values: dict[Word, Fraction] = {}  # canonical word (or class) -> psi
     checked = set()
     out = []
     for terms in sums:
-        out.append(Fraction(0))
+        products = []  # c * psi(w) as (numerator, denominator)
         for w, c in terms:
             w = canonicalize(w, algebra)
             if w not in values:
@@ -112,7 +119,10 @@ def evaluate_sums(state: StateSpec,
                 if cls not in values:
                     values[cls] = _eval(state, cls, algebra, budget)
                 values[w] = values[cls]
-            out[-1] += c * values[w]
+            v = values[w]
+            products.append((c.numerator * v.numerator,
+                             c.denominator * v.denominator))
+        out.append(exact_sum(products))
     return out
 
 
@@ -155,8 +165,18 @@ def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
     if isinstance(state, HaarTrace):
         return _eval_haar(state, word, algebra, budget)
     if isinstance(state, Combination):
-        return sum((w * _eval(s, word, algebra, budget)
-                    for w, s in state.terms), Fraction(0))
+        # the Haar terms read one histogram; any other term recurses
+        haar = [(w, s.dim) for w, s in state.terms if isinstance(s, HaarTrace)]
+        value = sum((w * _eval(s, word, algebra, budget)
+                     for w, s in state.terms if not isinstance(s, HaarTrace)),
+                    Fraction(0))
+        if haar:
+            values = _eval_haar_dims([d for _, d in haar], word, algebra,
+                                     budget)
+            value += exact_sum((w.numerator * v.numerator,
+                                w.denominator * v.denominator)
+                               for (w, _), v in zip(haar, values))
+        return value
     if isinstance(state, TensorProductState):
         return _eval_tensor(state, word, algebra, budget)
     return _eval_free(state, word, algebra, budget)
@@ -166,11 +186,29 @@ def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
     if not word:
         return Fraction(1)
-    dim = state.dim
-    if algebra.generator(word[0].gen).kind == "hermitian-unitary":
-        dim *= 2
+    dim = _matrix_size(state.dim, word, algebra)
     atoms, constants = trace_atoms(word, algebra, dim)
     return exact_trace_moment(atoms, dim, constants, budget) / dim
+
+
+def _eval_haar_dims(dims: list[int], word: Word, algebra: AlgebraSpec,
+                    budget: int) -> list[Fraction]:
+    """HaarTrace(dim) of a word for each dim, read from one histogram."""
+    if not word:
+        return [Fraction(1)] * len(dims)
+    sizes = [_matrix_size(d, word, algebra) for d in dims]
+    atoms = _haar_atoms(word, algebra)
+    points = [(n, _haar_constants(atoms, n)) for n in sizes]
+    hist = weingarten_histogram(atoms, points, budget)
+    return [read_histogram(hist, n, c) / n for n, c in points]
+
+
+def _matrix_size(dim: int, word: Word, algebra: AlgebraSpec) -> int:
+    """Matrix size of HaarTrace(dim) on a word of one generator kind:
+    2 * dim for hermitian-unitary letters, dim for unitary ones."""
+    if algebra.generator(word[0].gen).kind == "hermitian-unitary":
+        return 2 * dim
+    return dim
 
 
 def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
@@ -178,19 +216,30 @@ def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
     """The Haar trace word of a word at matrix size dim, with its constants:
     a unitary letter is a Haar symbol, and a hermitian-unitary letter b is
     U_b D U_b* with D = diag(I_{dim//2}, -I_{dim - dim//2})."""
+    atoms = _haar_atoms(word, algebra)
+    return atoms, _haar_constants(atoms, dim)
+
+
+def _haar_atoms(word: Word, algebra: AlgebraSpec) -> list[Atom]:
+    """The Haar trace word of trace_atoms, which is the same at every size."""
     atoms: list[Atom] = []
-    constants = {}
     for l in word:
         kind = algebra.generator(l.gen).kind
         if kind == "unitary":
             atoms.append(UnitaryAtom(l.gen, l.star))
         elif kind == "hermitian-unitary":
-            constants["D"] = SignatureMatrix(dim, dim // 2)
             atoms += [UnitaryAtom(l.gen), ConstantAtom("D"),
                       UnitaryAtom(l.gen, star=True)]
         else:
             raise InputError(f"no Haar trace word for kind {kind!r}")
-    return atoms, constants
+    return atoms
+
+
+def _haar_constants(atoms: list[Atom], dim: int) -> dict[str, SignatureMatrix]:
+    """The constants of trace_atoms at matrix size dim."""
+    if any(isinstance(a, ConstantAtom) for a in atoms):
+        return {"D": SignatureMatrix(dim, dim // 2)}
+    return {}
 
 
 def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,

@@ -214,6 +214,29 @@ class TestSolveCommand:
                     "--order", "2", "--budget", "1")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("kind, word", [
+        # u: k = 2, v: k = 1 -> (2!)^2 (1!)^2 configurations
+        ("unitary", "u u v u* u* v*"),
+        # two block symbols with k = 2 -> 2! 2! configurations
+        ("hermitian-unitary", "u v u v")])
+    def test_budget_counts_a_class_once_for_all_dims(self, tmp_path, capsys,
+                                                      kind, word):
+        data = {"algebra": {"generators": [{"id": "u", "kind": kind},
+                                           {"id": "v", "kind": kind}]},
+                "objective": [{"coefficient": "1", "word": [{"gen": "u"}]}],
+                "state": {"kind": "haar-increasing"}, "subset": ["u", "v"]}
+        if kind == "unitary":
+            data["objective"].append(
+                {"coefficient": "1", "word": [{"gen": "u", "star": True}]})
+        path = tmp_path / "budget.problem"
+        path.write_text(json.dumps(data))
+        argv = ["eval-state", str(path), word, "--order", "3"]
+        assert main([*argv, "--budget", "3"]) == 3
+        assert "needs 4 configurations" in capsys.readouterr().err
+        # the same count covers the three Haar dims of the order-3 state
+        assert main([*argv, "--budget", "4"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_budget_honoured_after_cached_solve(self, capsys):
         # the moments of the first run are memoized; the second run must
         # still be refused under its smaller budget
@@ -297,6 +320,23 @@ class TestSolveCommand:
             assert len(vals) == 4
             assert all(b <= a for a, b in zip(vals, vals[1:]))
             assert all(v >= tsirelson for v in vals)
+
+    @pytest.mark.parametrize("argv, env", [
+        (["solve", "reflection", "--order", "1"], {"NCUPPER_SAMPLES": "x"}),
+        (["weingarten", "--n", "2", "--d", "2"], {"NCUPPER_DIMS": "x"})])
+    def test_other_subcommands_variables_ignored(self, argv, env):
+        argv = [str(bundled_problem_path(a)) if a == "reflection" else a
+                for a in argv]
+        r = run_cli(*argv, env_extra=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+
+    def test_own_bad_variable_exit_2(self):
+        r = run_cli("mc-check", str(bundled_problem_path("reflection")), "b",
+                    "--dim", "2", env_extra={"NCUPPER_SAMPLES": "x"})
+        assert r.returncode == 2
+        assert r.stderr.splitlines() == [
+            "error: bad value for NCUPPER_SAMPLES: 'x'"]
 
     def test_env_var_mirroring(self, tmp_path):
         out = tmp_path / "e.json"

@@ -12,7 +12,11 @@ from ncupper.errors import BudgetExceededError, InputError
 from ncupper.haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
                           exact_trace_moment, haar_sample, mc_trace_moment,
                           mc_trace_moments)
-from ncupper.symcomb import compose, cycle_type, inverse, weingarten
+from ncupper.algebra import (AlgebraSpec, GeneratorSpec, tracial_class,
+                             words_up_to)
+from ncupper.states import trace_atoms
+from ncupper.symcomb import (block_weingarten, compose, cycle_type, inverse,
+                             weingarten)
 
 U = UnitaryAtom
 D = ConstantAtom
@@ -169,6 +173,125 @@ def _oracle_moment(word, dim, constants):
                              for i in range(dim))
             total += weight * value
     return total
+
+
+def _oracle_exact(word, dim, constants=None):
+    """The engine before its dim-free histogram: one Fraction sum per dim
+    over every configuration, sigma only for a block symbol (its blocks all
+    around one signature r) with weight G, (sigma, tau) for a plain one with
+    weight Wg, times the loop values of its successor map."""
+    resolved = haar._checked_atoms(word, dim, constants)
+    L = len(resolved)
+    P, Q = {}, {}
+    for pos, a in enumerate(resolved):
+        if a[0] == "u":
+            (Q if a[2] else P).setdefault(a[1], []).append(pos)
+    symbols = sorted(set(P) | set(Q))
+    if any(len(P.get(s, ())) != len(Q.get(s, ())) for s in symbols):
+        return Fraction(0)
+    blocks = {}
+    for s in symbols:
+        mids = [resolved[(p + 1) % L] for p in P[s]]
+        ends = [resolved[(p + 2) % L] for p in P[s]]
+        rs = {m[2] for m in mids if m[0] == "c"}
+        if (all(m[0] == "c" for m in mids) and len(rs) == 1
+                and all(e == ("u", s, True) for e in ends)):
+            blocks[s] = rs.pop()
+    plain = [s for s in symbols if s not in blocks]
+    nxt = [(g + 1) % L for g in range(L)]
+    signs = [a[2] if a[0] == "c" else None for a in resolved]
+    inner = {(p + d) % L for s in blocks for p in P[s] for d in (1, 2)}
+    outer = [g for g in range(L) if g not in inner]
+    block_choices = [
+        [(block_weingarten(cycle_type(sigma), dim, r),
+          [(P[s][i], (P[s][si] + 3) % L) for i, si in enumerate(sigma)])
+         for sigma in itertools.permutations(range(len(P[s])))]
+        for s, r in sorted(blocks.items())]
+    perm_lists = [list(itertools.permutations(range(len(P[s]))))
+                  for s in plain]
+    total = Fraction(0)
+    for choice in itertools.product(*block_choices):
+        block_weight = math.prod((g for g, _ in choice), start=Fraction(1))
+        for _, edges in choice:
+            for a, b in edges:
+                nxt[a] = b
+        for sigmas in itertools.product(*perm_lists):
+            for s, sigma in zip(plain, sigmas):
+                for i, qi in enumerate(sigma):
+                    nxt[P[s][i]] = (Q[s][qi] + 1) % L
+            for taus in itertools.product(*perm_lists):
+                weight = block_weight
+                for s, sigma, tau in zip(plain, sigmas, taus):
+                    for i, ti in enumerate(tau):
+                        nxt[Q[s][ti]] = (P[s][i] + 1) % L
+                    weight *= weingarten(
+                        cycle_type(compose(sigma, inverse(tau))), dim)
+                seen = [False] * L
+                value = 1
+                for g in outer:
+                    if seen[g]:
+                        continue
+                    rs = []
+                    while not seen[g]:
+                        seen[g] = True
+                        if signs[g] is not None:
+                            rs.append(signs[g])
+                        g = nxt[g]
+                    value *= sum(math.prod(-1 if i >= r else 1 for r in rs)
+                                 for i in range(dim))
+                total += weight * value
+    return total
+
+
+def _class_trace_words(gens, kind, max_len):
+    """The Haar trace word of every non-empty tracial class of length <=
+    max_len over generators of one kind; a constant is the atom D, whatever
+    its matrix size."""
+    algebra = AlgebraSpec(tuple(GeneratorSpec(g, kind) for g in gens))
+    classes = {tracial_class(w, algebra)
+               for w in words_up_to(algebra, gens, max_len)}
+    return [trace_atoms(c, algebra, 1)[0]
+            for c in sorted(classes, key=lambda c: (len(c), c)) if c]
+
+
+class TestHistogramExactness:
+    """The histogram read at a dim equals the per-dim Fraction sum of the
+    engine it replaced, on every class word of length <= 8."""
+
+    def test_unitaries(self):
+        for word in _class_trace_words(["u", "v"], "unitary", 8):
+            for dim in (1, 2, 3, 4):
+                assert exact_trace_moment(word, dim) == \
+                    _oracle_exact(word, dim), (word, dim)
+
+    @pytest.mark.parametrize("gens", [["a", "b"], ["a", "b", "c"]])
+    def test_reflections(self, gens):
+        # HaarTrace dims 1-4: matrix size 2 d, D traceless
+        for word in _class_trace_words(gens, "hermitian-unitary", 8):
+            for d in (1, 2, 3, 4):
+                consts = {"D": SignatureMatrix(2 * d, d)}
+                assert exact_trace_moment(word, 2 * d, consts) == \
+                    _oracle_exact(word, 2 * d, consts), (word, d)
+
+    def test_constant_off_center(self):
+        # r != dim / 2, so odd block counts and odd loops do not vanish
+        for word in _class_trace_words(["a", "b", "c"], "hermitian-unitary",
+                                       8):
+            for dim in (1, 2, 3, 4):
+                for r in range(dim + 1):
+                    if 2 * r == dim:
+                        continue
+                    consts = {"D": SignatureMatrix(dim, r)}
+                    assert exact_trace_moment(word, dim, consts) == \
+                        _oracle_exact(word, dim, consts), (word, dim, r)
+
+    def test_one_histogram_reads_every_dim(self):
+        word = conj_sig("a") + conj_sig("b") + conj_sig("a") + conj_sig("b")
+        points = [(n, {"D": SignatureMatrix(n, n // 2)}) for n in (2, 3, 4)]
+        hist = haar.weingarten_histogram(word, points)
+        for n, consts in points:
+            assert haar.read_histogram(hist, n, consts) == \
+                _oracle_exact(word, n, consts)
 
 
 class TestBlockCollapse:

@@ -352,3 +352,54 @@ class TestTraciality:
             state = FreeProductState(((frozenset({"u1"}), comps[0]),
                                       (frozenset({"u2"}), comps[1])))
             _assert_class_keyed(state, unitary_algebra, 6)
+
+
+class TestCombinationHistogram:
+    """A combination reads one histogram per class at every Haar dim; its
+    value is still the weighted sum of its terms' values."""
+
+    @pytest.mark.parametrize("kind, n", [
+        ("unitary", 2), ("hermitian-unitary", 3)])
+    def test_weighted_sum_of_haar_traces(self, kind, n):
+        ids = [f"h{i}" for i in range(1, n + 1)]
+        algebra = AlgebraSpec(tuple(GeneratorSpec(g, kind) for g in ids))
+        psi = make_increasing([HaarTrace(d) for d in (1, 2, 3, 4)])[-1]
+        mixed = Combination(((Fraction(1, 3), HaarTrace(2)),
+                             (Fraction(1, 6), CanonicalTrace()),
+                             (Fraction(1, 2), HaarTrace(3))))
+        classes = {tracial_class(u, algebra)
+                   for u in words_up_to(algebra, ids, 8)}
+        for state in (psi, mixed):
+            for cls in classes:
+                want = sum(wt * states._eval(s, cls, algebra, DEFAULT_BUDGET)
+                           for wt, s in state.terms)
+                assert states._eval(state, cls, algebra,
+                                    DEFAULT_BUDGET) == want, word_str(cls)
+
+    def test_one_histogram_per_state_and_class(self, monkeypatch):
+        from ncupper.hierarchy import lambda_sequence
+        problem = parse_problem(bundled_problem_path("free-unitaries"))
+        builds = []
+        build = states.weingarten_histogram
+
+        def counted_build(word, points, budget):
+            builds.append(len(points))
+            return build(word, points, budget)
+
+        pairs = set()
+        _eval = states._eval
+
+        def counted_eval(state, word, algebra, budget):
+            if isinstance(state, Combination) and word:
+                pairs.add((state, word))
+            return _eval(state, word, algebra, budget)
+
+        _eval.cache_clear()
+        monkeypatch.setattr(states, "weingarten_histogram", counted_build)
+        monkeypatch.setattr(states, "_eval", counted_eval)
+        lambda_sequence(problem.objective, problem.algebra, problem.subset,
+                        problem.state_family(), 3)
+        # one build per (state, class), each serving all of the state's dims
+        assert len(builds) == len(pairs)
+        assert sorted(set(builds)) == [1, 2, 3]
+        assert sum(builds) > len(builds)
