@@ -6,11 +6,13 @@ Subcommands:
   mc-check    compare exact vs Monte Carlo trace moments for a word
   eval-state  evaluate the problem's state on a word
 
-Every optional flag takes its default from an NCUPPER_<NAME> environment
-variable (NCUPPER_ORDER for --order); explicit flags win, and a subcommand
-reads only the variables of its own flags. The required flags,
-weingarten --n/--d and mc-check --dim, have no mirror. Exit codes: 0 success,
-2 input error, 3 budget exceeded, 4 numerical failure.
+Every optional flag is declared once in OPTIONS and takes its default from
+an NCUPPER_<NAME> environment variable (NCUPPER_ORDER for --order), parsed
+the same way; explicit flags win, and a subcommand reads only the variables
+of its own flags. A bad value of either exits 2 with one line. The required
+flags, weingarten --n/--d and mc-check --dim, have no mirror and keep
+argparse's own check. Exit codes: 0 success, 2 input error, 3 budget
+exceeded, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,23 +25,35 @@ import sys
 
 from . import __version__
 from .algebra import word_str
-from .errors import NCUpperError, InputError
+from .errors import BudgetExceededError, NCUpperError, InputError
 from .haar import DEFAULT_BUDGET, exact_trace_moment, mc_trace_moment
 from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
 from .problems import (ProblemFile, parse_problem, parse_word_tokens,
                        serialize_problem)
 from .states import evaluate_state, trace_atoms
-from .symcomb import partitions, weingarten
+from .symcomb import partition_counts, partitions, weingarten
 
 
-def _env_default(name: str, cast, fallback=None):
-    raw = os.environ.get(f"NCUPPER_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InputError(f"bad value for NCUPPER_{name}: {raw!r}") from None
+class _TooSmall(ValueError):
+    """A well-formed number below its flag's minimum."""
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise _TooSmall(f"must be >= {low}")
+        return value
+    return parse
+
+
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError
+        return text
+    parse.metavar = "|".join(choices)
+    return parse
 
 
 def _dims_list(text: str) -> list[int]:
@@ -52,19 +66,22 @@ def _dims_list(text: str) -> list[int]:
     return dims
 
 
-# Per subcommand: (flag dest, cast, fallback) of each NCUPPER_<DEST> mirror.
-# Only the chosen subcommand's variables are read, after parsing, so a bad
-# variable that another subcommand reads does not stop this one.
-_ENV_FLAGS = {
-    "solve": (("order", int, None), ("hierarchy", str, None),
-              ("dims", _dims_list, None), ("tol", float, DEFAULT_TOL),
-              ("budget", int, DEFAULT_BUDGET), ("seed", int, 0),
-              ("out", str, None), ("format", str, "table")),
+# Per subcommand: (name, parse, fallback) of each optional flag --<name>,
+# whose NCUPPER_<NAME> variable goes through the same parse. Only the chosen
+# subcommand's variables are read, so a bad variable that another subcommand
+# reads does not stop this one.
+_ORDER = ("order", _int_at_least(1), None)
+_DIMS = ("dims", _dims_list, None)
+_BUDGET = ("budget", _int_at_least(0), DEFAULT_BUDGET)
+_SEED = ("seed", int, 0)
+OPTIONS = {
+    "solve": (_ORDER, ("hierarchy", _one_of("lambda", "eta", "both"), None),
+              _DIMS, ("tol", float, DEFAULT_TOL), _BUDGET, _SEED,
+              ("out", str, None),
+              ("format", _one_of("table", "machine"), "table")),
     "weingarten": (),
-    "mc-check": (("samples", int, 10 ** 5), ("seed", int, 0),
-                 ("budget", int, DEFAULT_BUDGET)),
-    "eval-state": (("order", int, None), ("dims", _dims_list, None),
-                   ("budget", int, DEFAULT_BUDGET)),
+    "mc-check": (("samples", int, 10 ** 5), _SEED, _BUDGET),
+    "eval-state": (_ORDER, _DIMS, _BUDGET),
 }
 
 
@@ -77,14 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the hierarchies on a problem")
     solve.add_argument("problem")
-    solve.add_argument("--order", type=int)
-    solve.add_argument("--hierarchy", choices=("lambda", "eta", "both"))
-    solve.add_argument("--dims", type=_dims_list)
-    solve.add_argument("--tol", type=float)
-    solve.add_argument("--budget", type=int)
-    solve.add_argument("--seed", type=int)
-    solve.add_argument("--out")
-    solve.add_argument("--format", choices=("table", "machine"))
 
     wg = sub.add_parser("weingarten", help="print the Weingarten table")
     wg.add_argument("--n", type=int, required=True)
@@ -94,26 +103,38 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("problem")
     mc.add_argument("word", help="word in problem syntax, e.g. 'b1 b2' or 'u1 u2*'")
     mc.add_argument("--dim", type=int, required=True)
-    mc.add_argument("--samples", type=int)
-    mc.add_argument("--seed", type=int)
-    mc.add_argument("--budget", type=int)
 
     ev = sub.add_parser("eval-state", help="evaluate the state on a word")
     ev.add_argument("problem")
     ev.add_argument("word")
-    ev.add_argument("--order", type=int)
-    ev.add_argument("--dims", type=_dims_list)
-    ev.add_argument("--budget", type=int)
+
+    # argparse only collects the text of an optional flag; _resolve parses it
+    for command, parser in sub.choices.items():
+        for name, parse, _ in OPTIONS[command]:
+            parser.add_argument(f"--{name}",
+                                metavar=getattr(parse, "metavar", None))
     return top
 
 
-def _apply_env(args) -> None:
-    """Fill each flag of the chosen subcommand that was not given from its
-    NCUPPER_* variable, else its fallback; every set variable is parsed."""
-    for dest, cast, fallback in _ENV_FLAGS[args.command]:
-        value = _env_default(dest.upper(), cast, fallback)
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+def _parsed(parse, raw: str, name: str, source: str):
+    try:
+        return parse(raw)
+    except _TooSmall as e:
+        raise InputError(f"--{name} {e}") from None
+    except ValueError:
+        raise InputError(f"bad value for {source}: {raw!r}") from None
+
+
+def _resolve(args) -> None:
+    """Set each optional flag of the chosen subcommand to its parsed flag
+    text, else its parsed NCUPPER_<NAME> text, else its fallback. Every set
+    variable is parsed, also when its flag wins."""
+    for name, parse, fallback in OPTIONS[args.command]:
+        env = f"NCUPPER_{name.upper()}"
+        values = [_parsed(parse, raw, name, source) for source, raw in
+                  ((f"--{name}", getattr(args, name)),
+                   (env, os.environ.get(env))) if raw is not None]
+        setattr(args, name, values[0] if values else fallback)
 
 
 def _sig6(x: float) -> str:
@@ -126,18 +147,10 @@ def _input_hash(problem: ProblemFile, flags: dict) -> str:
     return hashlib.sha256(src.encode()).hexdigest()
 
 
-def _order(args, problem: ProblemFile) -> int:
-    """--order (or NCUPPER_ORDER) if given, else the problem's top order."""
-    d = max(problem.orders) if args.order is None else args.order
-    if d < 1:
-        raise InputError("--order must be >= 1")
-    return d
-
-
 def run_solve(args) -> dict:
     problem = parse_problem(args.problem)
     hierarchy = args.hierarchy or problem.hierarchy
-    d_max = _order(args, problem)
+    d_max = args.order or max(problem.orders)
     family = problem.state_family(args.dims)
     lam_rep = eta_rep = None
     if hierarchy in ("lambda", "both"):
@@ -162,26 +175,18 @@ def run_solve(args) -> dict:
     for d in range(1, d_max + 1):
         row: dict = {"d": d}
         t = 0.0
-        if lam_rep:
-            rec = lam_rep.orders[d - 1]
-            row["lambda"] = {
-                "value": _sig6(rec.lam),
-                "basis_size": rec.basis_size,
-                "rank_b": rec.lam_report.rank_b,
-                "kernel_residual": _sig6(rec.lam_report.kernel_residual),
-                "pencil_digest": rec.pencil_digest,
-            }
-            t += rec.wall_time
-        if eta_rep:
-            rec = eta_rep.orders[d - 1]
-            row["eta"] = {
-                "value": _sig6(rec.eta),
-                "basis_size": rec.basis_size,
-                "rank_b": rec.eta_report.rank_b,
-                "kernel_residual": _sig6(rec.eta_report.kernel_residual),
-                "pencil_digest": rec.pencil_digest,
-            }
-            t += rec.wall_time
+        for key, rep in (("lambda", lam_rep), ("eta", eta_rep)):
+            if rep:
+                rec = rep.orders[d - 1]
+                pencil = rec.lam_report or rec.eta_report
+                row[key] = {
+                    "value": _sig6(pencil.lam),
+                    "basis_size": rec.basis_size,
+                    "rank_b": pencil.rank_b,
+                    "kernel_residual": _sig6(pencil.kernel_residual),
+                    "pencil_digest": rec.pencil_digest,
+                }
+                t += rec.wall_time
         timings[d] = t
         record["orders"].append(row)
 
@@ -210,6 +215,13 @@ def _print_table(record: dict, timings: dict):
 def run_weingarten(args):
     if args.n < 1 or args.d < 1:
         raise InputError("need --n >= 1 and --d >= 1")
+    # the table sums p(n) characters for each of its p(n) rows; p grows
+    # with n, so counting stops at the first m <= n over the budget
+    for _, count in zip(range(args.n + 1), partition_counts()):
+        if count ** 2 > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"the Weingarten table for --n {args.n} has more (mu, lambda) "
+                f"pairs, p(n)^2, than the budget {DEFAULT_BUDGET}")
     for mu in partitions(args.n):
         print(f"{mu} -> {weingarten(mu, args.d)}")
 
@@ -235,8 +247,7 @@ def run_mc_check(args):
 def run_eval_state(args):
     problem = parse_problem(args.problem)
     word = parse_word_tokens(args.word, problem.algebra)
-    d = _order(args, problem)
-    state = problem.state_family(args.dims)(d)
+    state = problem.state_family(args.dims)(args.order or max(problem.orders))
     value = evaluate_state(state, word, problem.algebra, budget=args.budget)
     print(f"{value} = {_sig6(float(value))}")
 
@@ -244,17 +255,10 @@ def run_eval_state(args):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _apply_env(args)
-        if getattr(args, "budget", 0) < 0:
-            raise InputError(f"--budget must be >= 0, got {args.budget}")
-        if args.command == "solve":
-            run_solve(args)
-        elif args.command == "weingarten":
-            run_weingarten(args)
-        elif args.command == "mc-check":
-            run_mc_check(args)
-        elif args.command == "eval-state":
-            run_eval_state(args)
+        _resolve(args)
+        {"solve": run_solve, "weingarten": run_weingarten,
+         "mc-check": run_mc_check,
+         "eval-state": run_eval_state}[args.command](args)
         return 0
     except NCUpperError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -133,7 +133,7 @@ def _parse_problem_fields(data: dict) -> ProblemFile:
     if not is_self_adjoint(objective, algebra):
         raise InputError("objective must satisfy f = f*")
     state_decl = data.get("state", {"kind": "haar-increasing"})
-    _validate_state_decl(state_decl, algebra)
+    build_state_family(state_decl, algebra)  # raises on a malformed state
     orders = list(data.get("orders", [1]))
     if not orders or any(int(d) < 1 for d in orders):
         raise InputError("orders must be positive integers")
@@ -186,18 +186,6 @@ def serialize_problem(problem: ProblemFile) -> dict:
 
 # --- state declarations ----------------------------------------------------
 
-def _validate_state_decl(decl, algebra: AlgebraSpec):
-    if not isinstance(decl, dict) or "kind" not in decl:
-        raise InputError("state declaration must be an object with a 'kind'")
-    kind = decl["kind"]
-    if kind in ("haar-increasing", "haar-sequence"):
-        dims = decl.get("dims")
-        if dims is not None and (not dims or any(int(x) < 1 for x in dims)):
-            raise InputError(f"{kind} dims must be positive")
-        return
-    _parse_fixed_state(decl, algebra)  # raises on malformed declarations
-
-
 def _tensored_per_factor(state: StateSpec, algebra: AlgebraSpec) -> StateSpec:
     tags = algebra.factor_tags
     if len(tags) <= 1:
@@ -242,26 +230,23 @@ def build_state_family(decl: dict, algebra: AlgebraSpec,
     applied per tensor factor and tensored. All other kinds are constant
     families.
     """
-    kind = decl.get("kind")
-    if kind == "haar-increasing":
+    if not isinstance(decl, dict) or "kind" not in decl:
+        raise InputError("state declaration must be an object with a 'kind'")
+    kind = decl["kind"]
+    if kind in ("haar-increasing", "haar-sequence"):
         dims = dims_override or decl.get("dims")
+        if dims is not None:
+            dims = [int(x) for x in dims]
+            if not dims or min(dims) < 1:
+                raise InputError(f"{kind} dims must be positive")
 
         def family(d: int) -> StateSpec:
-            pool = list(dims)[:d] if dims else list(range(1, d + 1))
-            base = [HaarTrace(int(x)) for x in pool]
-            return _tensored_per_factor(make_increasing(base)[-1], algebra)
-
-        return family
-    if kind == "haar-sequence":
-        # plain per-order Haar states: psi_d = HaarTrace(dims[d-1]),
-        # default dims[d-1] = d
-        dims = dims_override or decl.get("dims")
-
-        def family(d: int) -> StateSpec:
-            pool = list(dims) if dims else []
-            dim = int(pool[d - 1]) if d <= len(pool) else (
-                int(pool[-1]) if pool else d)
-            return _tensored_per_factor(HaarTrace(dim), algebra)
+            if kind == "haar-sequence":
+                psi = HaarTrace(dims[min(d, len(dims)) - 1] if dims else d)
+            else:
+                pool = dims[:d] if dims else range(1, d + 1)
+                psi = make_increasing([HaarTrace(x) for x in pool])[-1]
+            return _tensored_per_factor(psi, algebra)
 
         return family
     if dims_override:

@@ -34,6 +34,21 @@ def partitions(n: int) -> list[Partition]:
     return list(gen(n, n))
 
 
+def partition_counts():
+    """p(0), p(1), p(2), ... without listing a partition, by Euler's
+    pentagonal recurrence p(n) = sum over k >= 1 of (-1)^(k+1)
+    (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
+    p = [1]
+    while True:
+        yield p[-1]
+        n, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * (p[n - g] + (p[n - g - k] if g + k <= n else 0))
+            k += 1
+        p.append(total)
+
+
 def is_partition(p: Partition) -> bool:
     return all(a >= b for a, b in zip(p, p[1:])) and all(a > 0 for a in p)
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from ncupper.problems import (bundled_problem_path, parse_problem,
                               parse_problem_dict, parse_word_tokens,
                               serialize_problem)
 from ncupper.errors import InputError
+from ncupper.states import HaarTrace, make_increasing
 
 from conftest import run_cli
 
@@ -80,6 +82,42 @@ class TestParsing:
         }
         with pytest.raises(InputError):
             parse_problem_dict(data)
+
+    @pytest.mark.parametrize("state, message", [
+        ("haar", "state declaration must be an object with a 'kind'"),
+        ({"dims": [1]}, "state declaration must be an object with a 'kind'"),
+        ({"kind": "haar-increasing", "dims": []},
+         "haar-increasing dims must be positive"),
+        ({"kind": "haar-sequence", "dims": [2, 0]},
+         "haar-sequence dims must be positive"),
+        ({"kind": "combination", "terms": [
+            {"weight": "1", "state": {"kind": "nope"}}]},
+         "unknown state kind 'nope'")])
+    def test_malformed_state_rejected(self, state, message):
+        data = dict(_BUNDLED_DICTS["chsh"], state=state)
+        with pytest.raises(InputError) as exc:
+            parse_problem_dict(data)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind, dims, override, expected", [
+        ("haar-sequence", None, None, [[1], [2], [3]]),
+        ("haar-sequence", [2, 5], None, [[2], [5], [5]]),
+        ("haar-sequence", [2, 5], [4], [[4], [4], [4]]),
+        ("haar-increasing", None, None, [[1], [1, 2], [1, 2, 3]]),
+        ("haar-increasing", [2, 5], None, [[2], [2, 5], [2, 5]]),
+        ("haar-increasing", None, [3, 1], [[3], [3, 1], [3, 1]])])
+    def test_order_dependent_state_family(self, kind, dims, override,
+                                          expected):
+        decl = {"kind": kind} if dims is None else {"kind": kind,
+                                                     "dims": dims}
+        p = parse_problem_dict(dict(_BUNDLED_DICTS["reflection"],
+                                    state=decl))
+        family = p.state_family(override)
+        for d, pool in enumerate(expected, start=1):
+            states = [HaarTrace(x) for x in pool]
+            if kind == "haar-increasing":
+                states = make_increasing(states)
+            assert family(d) == states[-1]
 
     def test_huge_factor_tag_rejected(self):
         # the contiguity check must not build range(factor + 1)
@@ -209,10 +247,17 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: --order must be >= 1"]
 
-    def test_budget_exit_3(self):
-        r = run_cli("solve", str(bundled_problem_path("chsh")),
-                    "--order", "2", "--budget", "1")
-        assert r.returncode == 3
+    @pytest.mark.parametrize("argv", [
+        ["solve", "chsh", "--order", "2", "--budget", "1"],
+        # p(100)^2 pairs: refused from the partition count, none listed
+        ["weingarten", "--n", "100", "--d", "2"]], ids=["solve", "weingarten"])
+    def test_budget_exit_3(self, capsys, argv):
+        argv = [str(bundled_problem_path(a)) if a == "chsh" else a
+                for a in argv]
+        start = time.monotonic()
+        assert main(argv) == 3
+        assert time.monotonic() - start < 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("kind, word", [
         # u: k = 2, v: k = 1 -> (2!)^2 (1!)^2 configurations
@@ -301,12 +346,19 @@ class TestSolveCommand:
         assert main(["solve", str(bundled_problem_path("chsh")),
                      "--order", "2", "--tol", "0"]) == 0
 
-    def test_env_parse_error_exit_2(self):
-        r = run_cli("solve", str(bundled_problem_path("chsh")),
-                    env_extra={"NCUPPER_ORDER": "x"})
+    @pytest.mark.parametrize("flag, env, source", [
+        ([], {"NCUPPER_ORDER": "x"}, "NCUPPER_ORDER: 'x'"),
+        ([], {"NCUPPER_HIERARCHY": "foo"}, "NCUPPER_HIERARCHY: 'foo'"),
+        ([], {"NCUPPER_FORMAT": "xml"}, "NCUPPER_FORMAT: 'xml'"),
+        (["--order", "x"], {}, "--order: 'x'"),
+        (["--hierarchy", "foo"], {}, "--hierarchy: 'foo'")],
+        ids=["order-env", "hierarchy-env", "format-env", "order-flag",
+             "hierarchy-flag"])
+    def test_env_parse_error_exit_2(self, flag, env, source):
+        r = run_cli("solve", str(bundled_problem_path("chsh")), *flag,
+                    env_extra=env)
         assert r.returncode == 2
-        assert r.stderr.splitlines() == [
-            "error: bad value for NCUPPER_ORDER: 'x'"]
+        assert r.stderr.splitlines() == [f"error: bad value for {source}"]
 
     def test_chsh_order4_both(self, tmp_path):
         out = tmp_path / "c4.json"
@@ -331,12 +383,26 @@ class TestSolveCommand:
         assert r.returncode == 0, r.stderr
         assert r.stderr == ""
 
-    def test_own_bad_variable_exit_2(self):
-        r = run_cli("mc-check", str(bundled_problem_path("reflection")), "b",
-                    "--dim", "2", env_extra={"NCUPPER_SAMPLES": "x"})
+    @pytest.mark.parametrize("argv, env, source", [
+        (["mc-check", "reflection", "b", "--dim", "2"],
+         {"NCUPPER_SAMPLES": "x"}, "NCUPPER_SAMPLES: 'x'"),
+        (["mc-check", "reflection", "b", "--dim", "2", "--samples", "x"], {},
+         "--samples: 'x'"),
+        (["eval-state", "reflection", "b"], {"NCUPPER_ORDER": "x"},
+         "NCUPPER_ORDER: 'x'"),
+        (["eval-state", "reflection", "b", "--order", "x"], {},
+         "--order: 'x'"),
+        # a set variable is parsed even when its flag wins
+        (["solve", "reflection", "--order", "1", "--format", "machine"],
+         {"NCUPPER_FORMAT": "xml"}, "NCUPPER_FORMAT: 'xml'")],
+        ids=["samples-env", "samples-flag", "eval-order-env",
+             "eval-order-flag", "format-env-under-flag"])
+    def test_own_bad_variable_exit_2(self, argv, env, source):
+        argv = [str(bundled_problem_path(a)) if a == "reflection" else a
+                for a in argv]
+        r = run_cli(*argv, env_extra=env)
         assert r.returncode == 2
-        assert r.stderr.splitlines() == [
-            "error: bad value for NCUPPER_SAMPLES: 'x'"]
+        assert r.stderr.splitlines() == [f"error: bad value for {source}"]
 
     def test_env_var_mirroring(self, tmp_path):
         out = tmp_path / "e.json"

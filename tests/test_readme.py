@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ncupper.cli import build_parser
+from ncupper.cli import OPTIONS, build_parser
 from ncupper.problems import parse_problem_dict
 
 from conftest import run_cli
@@ -61,6 +61,10 @@ def test_cli_synopsis_matches_parsers():
         accepted = {s for s in parsers[command]._option_string_actions
                     if s.startswith("--") and s != "--help"}
         assert flags == accepted, command
+    # the variables the README names are those the CLI reads
+    variables = {f"NCUPPER_{name.upper()}"
+                 for options in OPTIONS.values() for name, _, _ in options}
+    assert set(re.findall(r"NCUPPER_[A-Z]+", _section("## CLI"))) == variables
 
 
 def test_chsh_example_prints_quoted_bounds():

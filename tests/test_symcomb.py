@@ -7,7 +7,8 @@ import pytest
 from ncupper.errors import InputError
 from ncupper.symcomb import (block_weingarten, centralizer_order, character,
                              compose, content_product, cycle_type, dimension,
-                             inverse, partitions, weingarten)
+                             inverse, partition_counts, partitions,
+                             weingarten)
 
 
 def brute_partitions(n):
@@ -35,10 +36,13 @@ class TestPartitions:
         assert set(partitions(5)) == brute_partitions(5)
 
     def test_reverse_lex(self):
+        counts = list(itertools.islice(partition_counts(), 101))
         for n in range(1, 8):
             ps = partitions(n)
             assert ps == sorted(ps, reverse=True)
             assert set(ps) == brute_partitions(n)
+            assert len(ps) == counts[n]
+        assert counts[100] == 190_569_292  # p(100), never listed
 
 
 def standard_tableaux_count(lam):
