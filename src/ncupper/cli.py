@@ -234,7 +234,8 @@ def run_mc_check(args):
     atoms, constants = trace_atoms(word, problem.algebra, args.dim)
     exact = exact_trace_moment(atoms, args.dim, constants, budget=args.budget)
     est, err = mc_trace_moment(atoms, args.dim, constants,
-                               samples=args.samples, seed=args.seed)
+                               samples=args.samples, seed=args.seed,
+                               budget=args.budget)
     dev = abs(float(exact) - est)
     sigmas = dev / err if err > 0 else (0.0 if dev == 0 else float("inf"))
     print(f"word       : {word_str(word)}")

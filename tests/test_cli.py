@@ -250,10 +250,13 @@ class TestSolveCommand:
     @pytest.mark.parametrize("argv", [
         ["solve", "chsh", "--order", "2", "--budget", "1"],
         # p(100)^2 pairs: refused from the partition count, none listed
-        ["weingarten", "--n", "100", "--d", "2"]], ids=["solve", "weingarten"])
+        ["weingarten", "--n", "100", "--d", "2"],
+        # 20,000 samples of two 60 x 60 unitaries: refused before drawing
+        ["mc-check", "free-unitaries", "u1 u2 u1* u2*", "--dim", "60"]],
+        ids=["solve", "weingarten", "mc-check"])
     def test_budget_exit_3(self, capsys, argv):
-        argv = [str(bundled_problem_path(a)) if a == "chsh" else a
-                for a in argv]
+        argv = [str(bundled_problem_path(a))
+                if a in ("chsh", "free-unitaries") else a for a in argv]
         start = time.monotonic()
         assert main(argv) == 3
         assert time.monotonic() - start < 1

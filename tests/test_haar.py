@@ -415,6 +415,19 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             mc_trace_moments(words, dim, samples=10, seed=seed)
 
+    def test_budget_counts_one_chunk_of_samples(self, monkeypatch):
+        # min(samples, chunk) dim^2 entries per Haar symbol; constants and
+        # the number of chunks do not count
+        monkeypatch.setattr(haar, "_MC_CHUNK", 50)
+        words = [[U("a"), D("D"), U("b", True)], [U("a", True)]]
+        consts = {"D": SignatureMatrix(3, 1)}
+        for samples, entries in [(40, 40 * 9 * 2), (120, 50 * 9 * 2)]:
+            mc_trace_moments(words, 3, consts, samples=samples,
+                             budget=entries)
+            with pytest.raises(BudgetExceededError, match=f"needs {entries} "):
+                mc_trace_moments(words, 3, consts, samples=samples,
+                                 budget=entries - 1)
+
     def test_exact_vs_mc_signatures(self):
         sig = SignatureMatrix(4, 2)
         words = [conj_sig("a") + conj_sig("b"),
@@ -428,7 +441,8 @@ class TestMonteCarlo:
 def _oracle_mc(words, dim, constants, samples, seed):
     """Monte Carlo (estimate, stderr) word by word: the full matmul product
     of every word's atoms, then its trace, on mc_trace_moments's sample
-    stream."""
+    stream. It keeps haar_sample's (n, dim, dim) layout and `@`, so it
+    shares no product or trace code with the sample-last einsums."""
     words = [haar._checked_atoms(w, dim, constants) for w in words]
     symbols = sorted({a[1] for w in words for a in w if a[0] == "u"})
     rng = np.random.default_rng(seed)
@@ -482,7 +496,7 @@ class TestMonteCarloTrie:
     product oracle on the same sample stream must agree."""
 
     @pytest.mark.parametrize("seed", [0, 7, 31])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
     def test_matches_per_word_products(self, monkeypatch, dim, seed):
         # three chunks, so that the trie is rebuilt per chunk
         monkeypatch.setattr(haar, "_MC_CHUNK", 700)
