@@ -69,15 +69,19 @@ order as a prefix trie over their resolved atoms: a word starts from the
 deepest kept product of a prefix it shares with the word before it,
 multiplies in all but its last atom, and takes the trace of the product with
 that atom without forming it. Each product is one einsum over the matrix
-indices whose inner loop runs along the samples; a stacked (n, dim, dim)
-matmul instead pays a call per tiny matrix, about four times the time at
-dim 3. The trace is one real einsum over float views of the two factors,
-where each sample's real and imaginary parts sit side by side (for a last U*
-no conjugate is copied). A prefix product stays alive only while a later
-word in the sorted order starts from it, and never when its last atom is a
-constant: a constant is a diagonal +-1 matrix, so multiplying by it is an
-exact column scaling that costs less to redo than the memory to keep. The
-sample stream and the per-word sums do not depend on the order of the words.
+indices whose inner loop runs along the samples. NumPy's einsum never calls
+BLAS, while a stacked (n, dim, dim) matmul calls it once per matrix, so this
+layout is faster only at small dims: on the criterion-6 word sets (2-core
+x86 VM, OpenBLAS 0.3.31) mc_trace_moments took 0.40 of the matmul layout's
+time at dim 3 and 0.77 at dim 5, the same at dim 6, and 1.4, 2.3 and 4.4
+times it at dims 8, 16 and 32. The trace is one real einsum over float
+views of the two factors, where each sample's real and imaginary parts sit
+side by side (for a last U* no conjugate is copied). A prefix product stays
+alive only while a later word in the sorted order starts from it, and never
+when its last atom is a constant: a constant is a diagonal +-1 matrix, so
+multiplying by it is an exact column scaling that costs less to redo than
+the memory to keep. The sample stream and the per-word sums do not depend on
+the order of the words.
 """
 
 from __future__ import annotations
@@ -97,6 +101,10 @@ from .symcomb import (block_weingarten, compose, cycle_type, inverse,
 
 DEFAULT_BUDGET = 10 ** 8
 _MC_CHUNK = 20000  # fixes the Monte Carlo sample stream
+# chunk arrays that a draw or a product holds beyond the samples and the
+# kept products: QR's input, its copy, Q and R, or a factor, its conjugate
+# and the result, plus two for the per-sample vectors, as large at dim 1
+_MC_SPARE = 6
 
 
 @dataclass(frozen=True)
@@ -364,8 +372,10 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
                      budget: int = DEFAULT_BUDGET) -> list[tuple[float, float]]:
     """Monte Carlo (estimate, stderr) of tr w for several words sharing one
     Haar sample stream, drawn _MC_CHUNK unitaries per symbol at a time.
-    Deterministic given the seed. The budget caps the matrix entries of one
-    chunk's samples, min(samples, _MC_CHUNK) dim^2 per Haar symbol."""
+    Deterministic given the seed. The budget caps the complex entries held
+    at once: min(samples, _MC_CHUNK) dim^2 per chunk array, for one array of
+    samples per Haar symbol, the most prefix products the trie keeps at
+    once, and _MC_SPARE arrays that a draw or a product holds on top."""
     if samples < 2:
         raise InputError("need samples >= 2")
     if seed < 0:
@@ -374,33 +384,30 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
     order = sorted(set(words))
     kept = _reused_depths(order)
     symbols = sorted({a[1] for w in order for a in w if a[0] == "u"})
-    entries = min(samples, _MC_CHUNK) * dim * dim * len(symbols)
+    arrays = len(symbols) + max(map(len, kept), default=0) + _MC_SPARE
+    entries = min(samples, _MC_CHUNK) * dim * dim * arrays
     if entries > budget:
         raise BudgetExceededError(
-            f"Monte Carlo needs {entries} matrix entries per chunk "
-            f"(samples per chunk x dim^2 x Haar symbols; budget {budget})")
+            f"Monte Carlo needs {entries} complex entries at once "
+            f"({arrays} chunk arrays of dim^2 entries per sample; "
+            f"budget {budget})")
     diags = {a: np.where(np.arange(dim) < a[2], 1.0, -1.0)
              for w in order for a in w if a[0] == "c"}
     rng = np.random.default_rng(seed)
     sums = np.zeros(len(order))
     sqsums = np.zeros(len(order))
+    us = {}
     done = 0
     while done < samples:
         n = min(_MC_CHUNK, samples - done)
-        # (dim, dim, n): the sample axis last and contiguous
-        us = {s: np.ascontiguousarray(haar_sample(rng, n, dim).transpose(
-            1, 2, 0)) for s in symbols}
+        us.clear()  # the last chunk's samples go before the next are drawn
+        for s in symbols:
+            us[s] = np.ascontiguousarray(
+                haar_sample(rng, n, dim).transpose(1, 2, 0))
         eye = np.broadcast_to(np.eye(dim, dtype=complex)[:, :, None],
                               (dim, dim, n))
-        stack = []  # (depth, product of that prefix), depths increasing
-        for wi, (w, keep) in enumerate(zip(order, kept)):
-            depth, acc = stack[-1] if stack else (0, None)
-            stack = [e for e in stack if e[0] in keep]
-            for k in range(depth, len(w) - 1):
-                acc = _mc_times(acc, w[k], us, diags, eye)
-                if k + 1 in keep:
-                    stack.append((k + 1, acc))
-            tr = _mc_trace(acc, w[-1], us, diags, eye)
+        traces = _mc_word_traces(order, kept, us, diags, eye)
+        for wi, tr in enumerate(traces):
             sums[wi] += tr.sum()
             sqsums[wi] += (tr * tr).sum()
         done += n
@@ -413,14 +420,30 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
     return [stats[w] for w in words]
 
 
+def _mc_word_traces(order: list[tuple], kept: list[set[int]], us: dict,
+                    diags: dict, eye: np.ndarray):
+    """Real part of tr w per sample of one chunk, for each word of order in
+    turn, walking the words as a prefix trie; the stack holds the kept
+    prefix products, and all of them are freed when the walk ends."""
+    stack = []  # (depth, product of that prefix), depths increasing
+    for w, keep in zip(order, kept):
+        depth, acc = stack[-1] if stack else (0, None)
+        stack = [e for e in stack if e[0] in keep]
+        for k in range(depth, len(w) - 1):
+            acc = _mc_times(acc, w[k], us, diags, eye)
+            if k + 1 in keep:
+                stack.append((k + 1, acc))
+        yield _mc_trace(acc, w[-1], us, diags, eye)
+
+
 def _mc_times(acc: np.ndarray | None, atom: tuple, us: dict, diags: dict,
               eye: np.ndarray) -> np.ndarray:
     """acc times one resolved atom, per sample, on (dim, dim, n) arrays with
     the sample axis last; None is the identity eye. A product is one einsum
-    whose inner loop runs along the contiguous samples, where a stacked
-    (n, dim, dim) matmul pays a call per tiny matrix. A constant scales the
-    columns of acc. A conjugate copy lives only until the return, so it
-    never adds to the kept prefix products."""
+    whose inner loop runs along the contiguous samples; it beats a stacked
+    (n, dim, dim) matmul only up to about dim 5 (see the module docstring).
+    A constant scales the columns of acc. A conjugate copy lives only until
+    the return, so it never adds to the kept prefix products."""
     if atom[0] == "c":
         return (eye if acc is None else acc) * diags[atom][None, :, None]
     m = us[atom[1]]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -415,18 +416,51 @@ class TestMonteCarlo:
         with pytest.raises(InputError):
             mc_trace_moments(words, dim, samples=10, seed=seed)
 
-    def test_budget_counts_one_chunk_of_samples(self, monkeypatch):
-        # min(samples, chunk) dim^2 entries per Haar symbol; constants and
+    def test_budget_counts_arrays_held_at_once(self, monkeypatch):
+        # min(samples, chunk) dim^2 entries per array: one per Haar symbol,
+        # one per prefix product kept at once, and _MC_SPARE; constants and
         # the number of chunks do not count
         monkeypatch.setattr(haar, "_MC_CHUNK", 50)
-        words = [[U("a"), D("D"), U("b", True)], [U("a", True)]]
         consts = {"D": SignatureMatrix(3, 1)}
-        for samples, entries in [(40, 40 * 9 * 2), (120, 50 * 9 * 2)]:
-            mc_trace_moments(words, 3, consts, samples=samples,
-                             budget=entries)
-            with pytest.raises(BudgetExceededError, match=f"needs {entries} "):
+        cases = [([[U("a"), D("D"), U("b", True)], [U("a", True)]], 2 + 0),
+                 # a b a and a b b keep their common prefix a b
+                 ([[U("a"), U("b"), U("a")], [U("a"), U("b"), U("b")]], 2 + 1)]
+        for words, arrays in cases:
+            arrays += haar._MC_SPARE
+            for samples, n in [(40, 40), (120, 50)]:
+                entries = n * 9 * arrays
                 mc_trace_moments(words, 3, consts, samples=samples,
-                                 budget=entries - 1)
+                                 budget=entries)
+                with pytest.raises(BudgetExceededError,
+                                   match=f"needs {entries} "):
+                    mc_trace_moments(words, 3, consts, samples=samples,
+                                     budget=entries - 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("words", [
+        [[U("a")]],
+        [conj_sig(s) + conj_sig(t) for s in "ab" for t in "ab"]
+        + [[U(s, x), U(t, y)] for s in "ab" for t in "ab"
+           for x in (False, True) for y in (False, True)]],
+        ids=["one-letter", "mixed"])
+    def test_budget_bounds_traced_peak(self, monkeypatch, dim, words):
+        # at the smallest budget that admits the run, over two and a half
+        # chunks, the NumPy memory traced at the peak is within budget
+        # entries of 16 bytes; dim 1, where the per-sample vectors are as
+        # large as a chunk array, comes closest
+        monkeypatch.setattr(haar, "_MC_CHUNK", 300)
+        consts = {"D": SignatureMatrix(dim, dim // 2)}
+        with pytest.raises(BudgetExceededError) as refused:
+            mc_trace_moments(words, dim, consts, samples=750, budget=0)
+        budget = int(re.search(r"needs (\d+) ", str(refused.value))[1])
+        mc_trace_moments(words, dim, consts, samples=750, budget=budget)
+        tracemalloc.start()
+        try:
+            mc_trace_moments(words, dim, consts, samples=750, budget=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * 16
 
     def test_exact_vs_mc_signatures(self):
         sig = SignatureMatrix(4, 2)
