@@ -6,7 +6,9 @@ eigenvalue of a self-adjoint polynomial:
   * lambda_d: largest lambda with M_d(f) - lambda * M_d(1) >= 0 over the
     degree-<=d word basis, M_d assembled from the order-d state.
   * eta_d: same pencil on the Hankel matrices of the scalar moments of f.
-Moment entries are exact rationals; floats appear only in the eigensolve.
+Each sequence builds only its exact pencil at order d; the one loop
+``_orders`` times, solves and records every order. Moment entries are exact
+rationals; floats appear only in the eigensolve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .haar import DEFAULT_BUDGET
 from .states import StateSpec, evaluate_sums
 
 DEFAULT_TOL = 1e-9
-DEFAULT_WORD_BUDGET = 10 ** 6
+WORD_BUDGET = 10 ** 6
 
 
 @dataclass
@@ -54,10 +56,9 @@ class PencilReport:
 class OrderRecord:
     d: int
     basis_size: int
-    lam: float | None = None
-    eta: float | None = None
-    lam_report: PencilReport | None = None
-    eta_report: PencilReport | None = None
+    pencil: PencilReport
+    lam: float | None = None  # pencil.lam of a lambda_sequence order
+    eta: float | None = None  # pencil.lam of an eta_sequence order
     wall_time: float = 0.0
     pencil_digest: str = ""
 
@@ -80,6 +81,10 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
     if len(set(basis)) != len(basis):
         raise InputError("basis words must be duplicate-free")
     n = len(basis)
+    if (words := n * (n + 1) // 2 * len(f.terms)) > WORD_BUDGET:
+        raise BudgetExceededError(
+            f"moment matrix needs {words} word evaluations, over "
+            f"{WORD_BUDGET}")
     adjoints = [star_word(u) for u in basis]
     cells = [(i, j) for i in range(n) for j in range(i, n)]
     values = evaluate_sums(state, (
@@ -92,8 +97,8 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
 
 
 def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
-                   algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET,
-                   word_budget: int = DEFAULT_WORD_BUDGET) -> list[Fraction]:
+                   algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET
+                   ) -> list[Fraction]:
     """[phi(f^0), ..., phi(f^max_power)], exact."""
     if not is_self_adjoint(f, algebra):
         raise InputError("scalar_moments requires f = f*")
@@ -103,9 +108,9 @@ def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
         yield power.terms.items()
         for _ in range(max_power):
             power = multiply(power, f, algebra)
-            if len(power.terms) > word_budget:
+            if len(power.terms) > WORD_BUDGET:
                 raise BudgetExceededError(
-                    f"support of f^k exceeded {word_budget} words")
+                    f"support of f^k exceeded {WORD_BUDGET} words")
             yield power.terms.items()
     return evaluate_sums(state, powers(), algebra, budget)
 
@@ -154,47 +159,45 @@ def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
                     budget: int = DEFAULT_BUDGET) -> HierarchyReport:
     """lambda_d for d = 1..d_max: pencil of M_{G,d}(f) against M_{G,d}(1)
     under the order-d state."""
-    if d_max < 1:
-        raise InputError("d_max must be >= 1")
-    report = HierarchyReport()
-    for d in range(1, d_max + 1):
-        t0 = time.perf_counter()
+    def pencil(d: int):
         basis = words_up_to(algebra, subset, d)
         psi = state_family(d)
-        A = moment_matrix(f, psi, basis, algebra, budget)
-        B = moment_matrix(NCPolynomial.one(), psi, basis, algebra, budget)
-        pr = max_shift(A.to_float(), B.to_float(), tol)
-        rec = OrderRecord(d=d, basis_size=len(basis),
-                          lam=pr.lam, lam_report=pr,
-                          wall_time=time.perf_counter() - t0,
-                          pencil_digest=_sha16(_rows_source(A.entries) + "|"
-                                               + _rows_source(B.entries)))
-        report.orders.append(rec)
-    return report
+        A = moment_matrix(f, psi, basis, algebra, budget).entries
+        B = moment_matrix(NCPolynomial.one(), psi, basis, algebra,
+                          budget).entries
+        return A, B, _sha16(_rows_source(A) + "|" + _rows_source(B))
+    return _orders(pencil, "lam", d_max, tol)
 
 
 def eta_sequence(f: NCPolynomial, algebra: AlgebraSpec,
                  state_family: StateFamily, d_max: int,
-                 tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
-                 word_budget: int = DEFAULT_WORD_BUDGET) -> HierarchyReport:
+                 tol: float = DEFAULT_TOL,
+                 budget: int = DEFAULT_BUDGET) -> HierarchyReport:
     """eta_d for d = 1..d_max: Hankel pencil (phi(f^{i+j+1})) against
     (phi(f^{i+j})), i, j = 0..d, under the order-d state."""
+    def pencil(d: int):
+        m = scalar_moments(f, state_family(d), 2 * d + 1, algebra, budget)
+        A = [[m[i + j + 1] for j in range(d + 1)] for i in range(d + 1)]
+        B = [[m[i + j] for j in range(d + 1)] for i in range(d + 1)]
+        return A, B, _sha16(_rows_source(A)) + "|" + _sha16(_rows_source(B))
+    return _orders(pencil, "eta", d_max, tol)
+
+
+def _orders(pencil: Callable, bound: str, d_max: int,
+            tol: float) -> HierarchyReport:
+    """Solve pencil(d) = (A, B, digest) for d = 1..d_max, recording the
+    bound under the OrderRecord field named bound. The two sequences' digest
+    formats differ, and bench/references.json pins both."""
     if d_max < 1:
         raise InputError("d_max must be >= 1")
     report = HierarchyReport()
     for d in range(1, d_max + 1):
         t0 = time.perf_counter()
-        psi = state_family(d)
-        m = scalar_moments(f, psi, 2 * d + 1, algebra, budget, word_budget)
-        A = [[m[i + j + 1] for j in range(d + 1)] for i in range(d + 1)]
-        B = [[m[i + j] for j in range(d + 1)] for i in range(d + 1)]
+        A, B, digest = pencil(d)
         pr = max_shift(_to_float(A), _to_float(B), tol)
-        rec = OrderRecord(d=d, basis_size=d + 1,
-                          eta=pr.lam, eta_report=pr,
-                          wall_time=time.perf_counter() - t0,
-                          pencil_digest=_sha16(_rows_source(A)) + "|"
-                          + _sha16(_rows_source(B)))
-        report.orders.append(rec)
+        report.orders.append(OrderRecord(
+            d=d, basis_size=len(A), pencil=pr, **{bound: pr.lam},
+            wall_time=time.perf_counter() - t0, pencil_digest=digest))
     return report
 
 

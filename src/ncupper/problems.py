@@ -82,9 +82,18 @@ def _parse_objective(entries, algebra: AlgebraSpec) -> NCPolynomial:
     return p
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer as is; int() would truncate 2.5 and coerce "2" and
+    true, so a float, a string or a bool raises InputError."""
+    if type(value) is not int:
+        raise InputError(f"{field} takes integers only, not {value!r}")
+    return value
+
+
 def _parse_algebra(obj) -> AlgebraSpec:
     try:
-        gens = tuple(GeneratorSpec(g["id"], g["kind"], int(g.get("factor", 0)))
+        gens = tuple(GeneratorSpec(g["id"], g["kind"],
+                                   _integer(g.get("factor", 0), "factor"))
                      for g in obj["generators"])
     except (KeyError, TypeError) as e:
         raise InputError("malformed algebra declaration") from e
@@ -134,10 +143,9 @@ def _parse_problem_fields(data: dict) -> ProblemFile:
         raise InputError("objective must satisfy f = f*")
     state_decl = data.get("state", {"kind": "haar-increasing"})
     build_state_family(state_decl, algebra)  # raises on a malformed state
-    orders = list(data.get("orders", [1]))
-    if not orders or any(int(d) < 1 for d in orders):
+    orders = sorted(_integer(d, "orders") for d in data.get("orders", [1]))
+    if not orders or orders[0] < 1:
         raise InputError("orders must be positive integers")
-    orders = sorted(int(d) for d in orders)
     hierarchy = data.get("hierarchy", "both")
     if hierarchy not in HIERARCHIES:
         raise InputError(f"hierarchy must be one of {HIERARCHIES}")
@@ -198,7 +206,8 @@ def _parse_fixed_state(decl: dict, algebra: AlgebraSpec) -> StateSpec:
     if kind == "canonical-trace":
         return CanonicalTrace()
     if kind == "haar":
-        states = [HaarTrace(int(x)) for x in decl.get("dims", [1])]
+        states = [HaarTrace(_integer(x, "dims"))
+                  for x in decl.get("dims", [1])]
         psi = states[0] if len(states) == 1 else make_increasing(states)[-1]
         return _tensored_per_factor(psi, algebra)
     if kind == "combination":
@@ -236,7 +245,7 @@ def build_state_family(decl: dict, algebra: AlgebraSpec,
     if kind in ("haar-increasing", "haar-sequence"):
         dims = dims_override or decl.get("dims")
         if dims is not None:
-            dims = [int(x) for x in dims]
+            dims = [_integer(x, "dims") for x in dims]
             if not dims or min(dims) < 1:
                 raise InputError(f"{kind} dims must be positive")
 

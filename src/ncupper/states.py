@@ -186,9 +186,8 @@ def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
                budget: int) -> Fraction:
     if not word:
         return Fraction(1)
-    dim = _matrix_size(state.dim, word, algebra)
-    atoms, constants = trace_atoms(word, algebra, dim)
-    return exact_trace_moment(atoms, dim, constants, budget) / dim
+    atoms, [(n, constants)] = _haar_points(word, algebra, [state.dim])
+    return exact_trace_moment(atoms, n, constants, budget) / n
 
 
 def _eval_haar_dims(dims: list[int], word: Word, algebra: AlgebraSpec,
@@ -196,19 +195,21 @@ def _eval_haar_dims(dims: list[int], word: Word, algebra: AlgebraSpec,
     """HaarTrace(dim) of a word for each dim, read from one histogram."""
     if not word:
         return [Fraction(1)] * len(dims)
-    sizes = [_matrix_size(d, word, algebra) for d in dims]
-    atoms = _haar_atoms(word, algebra)
-    points = [(n, _haar_constants(atoms, n)) for n in sizes]
+    atoms, points = _haar_points(word, algebra, dims)
     hist = weingarten_histogram(atoms, points, budget)
     return [read_histogram(hist, n, c) / n for n, c in points]
 
 
-def _matrix_size(dim: int, word: Word, algebra: AlgebraSpec) -> int:
-    """Matrix size of HaarTrace(dim) on a word of one generator kind:
-    2 * dim for hermitian-unitary letters, dim for unitary ones."""
-    if algebra.generator(word[0].gen).kind == "hermitian-unitary":
-        return 2 * dim
-    return dim
+def _haar_points(word: Word, algebra: AlgebraSpec, dims: Sequence[int]
+                 ) -> tuple[list[Atom], list[tuple[int, dict]]]:
+    """The Haar trace word of a non-empty word of one generator kind, and
+    the (matrix size, constants) of HaarTrace(dim) on it for each dim: those
+    of trace_atoms at size 2 * dim, where D = diag(I_dim, -I_dim), for
+    hermitian-unitary letters, and at size dim for unitary ones."""
+    atoms, constants = trace_atoms(word, algebra, 2 * dims[0])
+    if not constants:
+        return atoms, [(d, {}) for d in dims]
+    return atoms, [(2 * d, {"D": SignatureMatrix(2 * d, d)}) for d in dims]
 
 
 def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
@@ -216,12 +217,6 @@ def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
     """The Haar trace word of a word at matrix size dim, with its constants:
     a unitary letter is a Haar symbol, and a hermitian-unitary letter b is
     U_b D U_b* with D = diag(I_{dim//2}, -I_{dim - dim//2})."""
-    atoms = _haar_atoms(word, algebra)
-    return atoms, _haar_constants(atoms, dim)
-
-
-def _haar_atoms(word: Word, algebra: AlgebraSpec) -> list[Atom]:
-    """The Haar trace word of trace_atoms, which is the same at every size."""
     atoms: list[Atom] = []
     for l in word:
         kind = algebra.generator(l.gen).kind
@@ -232,14 +227,9 @@ def _haar_atoms(word: Word, algebra: AlgebraSpec) -> list[Atom]:
                       UnitaryAtom(l.gen, star=True)]
         else:
             raise InputError(f"no Haar trace word for kind {kind!r}")
-    return atoms
-
-
-def _haar_constants(atoms: list[Atom], dim: int) -> dict[str, SignatureMatrix]:
-    """The constants of trace_atoms at matrix size dim."""
     if any(isinstance(a, ConstantAtom) for a in atoms):
-        return {"D": SignatureMatrix(dim, dim // 2)}
-    return {}
+        return atoms, {"D": SignatureMatrix(dim, dim // 2)}
+    return atoms, {}
 
 
 def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,

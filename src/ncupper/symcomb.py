@@ -53,7 +53,6 @@ def is_partition(p: Partition) -> bool:
     return all(a >= b for a, b in zip(p, p[1:])) and all(a > 0 for a in p)
 
 
-@lru_cache(maxsize=None)
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible character chi^lam of S_n evaluated on cycle type mu,
     via the Murnaghan-Nakayama border-strip recursion on beta-numbers."""
@@ -117,14 +116,15 @@ def weingarten(mu: Partition, d: int) -> Fraction:
     partitions with at most d rows, so the value is defined for all d,
     including d < |mu|."""
     mu = tuple(sorted(mu, reverse=True))
-    if not mu or d < 1:
+    if not mu or d < 1 or not is_partition(mu):
         raise InputError("weingarten needs a partition of n >= 1 and d >= 1")
     n = sum(mu)
     total = Fraction(0)
     for lam in partitions(n):
         if len(lam) > d:
             continue
-        total += Fraction(dimension(lam) * character(lam, mu),
+        # lam and mu are checked partitions: their characters are _mn's
+        total += Fraction(_mn(lam, (1,) * n) * _mn(lam, mu),
                           content_product(lam, d))
     return total / factorial(n)
 

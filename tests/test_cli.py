@@ -156,6 +156,23 @@ class TestParsing:
         with pytest.raises(InputError, match="must be a JSON list"):
             parse_problem_dict(data)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(orders=[2.5]),
+        lambda d: d.update(orders=["2"]),
+        lambda d: d.update(orders=[True]),
+        lambda d: d.update(state={"kind": "haar-increasing",
+                                  "dims": [1.9, 2]}),
+        lambda d: d.update(state={"kind": "haar", "dims": [2.0]}),
+        lambda d: d["algebra"]["generators"][2].update(factor=0.7),
+    ], ids=["orders-float", "orders-string", "orders-bool", "dims-float",
+            "haar-dims-float", "factor-float"])
+    def test_non_integer_rejected(self, edit):
+        # int() would truncate or coerce each of these without an error
+        data = copy.deepcopy(_BUNDLED_DICTS["chsh"])
+        edit(data)
+        with pytest.raises(InputError, match="takes integers only"):
+            parse_problem_dict(data)
+
     def test_word_tokens(self):
         p = parse_problem(bundled_problem_path("free-unitaries"))
         w = parse_word_tokens("u1 u2* u1", p.algebra)
@@ -222,6 +239,15 @@ class TestSolveCommand:
         assert r.returncode == 2
         assert len(r.stderr.splitlines()) == 1
 
+    def test_non_integer_dims_exit_2(self, tmp_path, capsys):
+        data = json.loads(bundled_problem_path("chsh").read_text())
+        data["state"] = {"kind": "haar-increasing", "dims": [1.9, 2]}
+        path = tmp_path / "bad.problem"
+        path.write_text(json.dumps(data))
+        assert main(["solve", str(path), "--order", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dims takes integers only, not 1.9"]
+
     @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
     def test_unreadable_problem_exit_2(self, tmp_path, capsys, kind):
         path = tmp_path / "bad.problem"
@@ -251,9 +277,11 @@ class TestSolveCommand:
         ["solve", "chsh", "--order", "2", "--budget", "1"],
         # p(100)^2 pairs: refused from the partition count, none listed
         ["weingarten", "--n", "100", "--d", "2"],
+        # p(22)^2 = 1,004,004 pairs, over the table's cap of 10^6
+        ["weingarten", "--n", "22", "--d", "2"],
         # 20,000 samples of two 60 x 60 unitaries: refused before drawing
         ["mc-check", "free-unitaries", "u1 u2 u1* u2*", "--dim", "60"]],
-        ids=["solve", "weingarten", "mc-check"])
+        ids=["solve", "weingarten", "weingarten-22", "mc-check"])
     def test_budget_exit_3(self, capsys, argv):
         argv = [str(bundled_problem_path(a))
                 if a in ("chsh", "free-unitaries") else a for a in argv]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from ncupper.algebra import (Letter, NCPolynomial, Word, canonicalize,
                              words_up_to)
+from ncupper import hierarchy
 from ncupper.errors import (BudgetExceededError, IndefiniteBError, InputError,
                             KernelViolationError)
 from ncupper.hierarchy import (eta_sequence, lambda_sequence, max_shift,
@@ -53,6 +55,32 @@ class TestMomentMatrix:
         with pytest.raises(InputError):
             moment_matrix(f, chsh.state_family()(1),
                           words_up_to(chsh.algebra, chsh.subset, 1),
+                          chsh.algebra)
+
+    def test_word_budget_refuses_before_evaluating(self):
+        # free-unitaries order 6: 1,457 basis words, so n(n+1)/2 cells of
+        # 4 terms each make 4,248,612 word evaluations
+        problem = parse_problem(bundled_problem_path("free-unitaries"))
+        basis = words_up_to(problem.algebra, problem.subset, 6)
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="4248612 word"):
+            moment_matrix(problem.objective, problem.state_family()(6), basis,
+                          problem.algebra)
+        assert time.monotonic() - start < 1
+
+    def test_word_budget_boundary(self, chsh, monkeypatch):
+        # chsh order 8 makes 52,925 evaluations: 145 words, 5 terms
+        n = len(words_up_to(chsh.algebra, chsh.subset, 8))
+        assert n * (n + 1) // 2 * len(chsh.objective.terms) == 52925
+        assert 52925 <= hierarchy.WORD_BUDGET
+        # chsh order 1: 5 basis words, 15 cells of 5 terms
+        basis = words_up_to(chsh.algebra, chsh.subset, 1)
+        monkeypatch.setattr(hierarchy, "WORD_BUDGET", 75)
+        moment_matrix(chsh.objective, chsh.state_family()(1), basis,
+                      chsh.algebra)
+        monkeypatch.setattr(hierarchy, "WORD_BUDGET", 74)
+        with pytest.raises(BudgetExceededError):
+            moment_matrix(chsh.objective, chsh.state_family()(1), basis,
                           chsh.algebra)
 
     def test_chsh_entries_vs_monte_carlo(self, chsh):
@@ -154,10 +182,11 @@ class TestScalarMoments:
             assert got[k] == evaluate_poly(psi, power, chsh.algebra)
             power = multiply(power, chsh.objective, chsh.algebra)
 
-    def test_word_budget(self, chsh):
+    def test_word_budget(self, chsh, monkeypatch):
+        monkeypatch.setattr(hierarchy, "WORD_BUDGET", 3)
         with pytest.raises(BudgetExceededError):
             scalar_moments(chsh.objective, chsh.state_family()(1), 5,
-                           chsh.algebra, word_budget=3)
+                           chsh.algebra)
 
 
 class TestMaxShift:
