@@ -22,6 +22,8 @@ import hashlib
 import json
 import os
 import sys
+from itertools import islice
+from math import isqrt
 
 from . import __version__
 from .algebra import word_str
@@ -31,7 +33,7 @@ from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
 from .problems import (ProblemFile, parse_problem, parse_word_tokens,
                        serialize_problem)
 from .states import evaluate_state, trace_atoms
-from .symcomb import partition_counts, partitions, weingarten
+from .symcomb import partitions, partitions_within, weingarten
 
 
 # The most (mu, lambda) pairs, p(n)^2, of a weingarten table: n = 21 has
@@ -78,14 +80,14 @@ def _dims_list(text: str) -> list[int]:
 _ORDER = ("order", _int_at_least(1), None)
 _DIMS = ("dims", _dims_list, None)
 _BUDGET = ("budget", _int_at_least(0), DEFAULT_BUDGET)
-_SEED = ("seed", int, 0)
+_SEED = ("seed", _int_at_least(0), 0)
 OPTIONS = {
     "solve": (_ORDER, ("hierarchy", _one_of("lambda", "eta", "both"), None),
               _DIMS, ("tol", float, DEFAULT_TOL), _BUDGET, _SEED,
               ("out", str, None),
               ("format", _one_of("table", "machine"), "table")),
     "weingarten": (),
-    "mc-check": (("samples", int, 10 ** 5), _SEED, _BUDGET),
+    "mc-check": (("samples", _int_at_least(2), 10 ** 5), _SEED, _BUDGET),
     "eval-state": (_ORDER, _DIMS, _BUDGET),
 }
 
@@ -121,11 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _parsed(parse, raw: str, name: str, source: str):
+def _parsed(parse, raw: str, source: str):
     try:
         return parse(raw)
     except _TooSmall as e:
-        raise InputError(f"--{name} {e}") from None
+        raise InputError(f"{source} {e}") from None
     except ValueError:
         raise InputError(f"bad value for {source}: {raw!r}") from None
 
@@ -136,7 +138,7 @@ def _resolve(args) -> None:
     variable is parsed, also when its flag wins."""
     for name, parse, fallback in OPTIONS[args.command]:
         env = f"NCUPPER_{name.upper()}"
-        values = [_parsed(parse, raw, name, source) for source, raw in
+        values = [_parsed(parse, raw, source) for source, raw in
                   ((f"--{name}", getattr(args, name)),
                    (env, os.environ.get(env))) if raw is not None]
         setattr(args, name, values[0] if values else fallback)
@@ -219,13 +221,14 @@ def _print_table(record: dict, timings: dict):
 def run_weingarten(args):
     if args.n < 1 or args.d < 1:
         raise InputError("need --n >= 1 and --d >= 1")
-    # the table sums p(n) characters for each of its p(n) rows; p grows
-    # with n, so counting stops at the first m <= n over the cap
-    for _, count in zip(range(args.n + 1), partition_counts()):
-        if count ** 2 > WEINGARTEN_PAIRS:
-            raise BudgetExceededError(
-                f"the Weingarten table for --n {args.n} has more (mu, lambda) "
-                f"pairs, p(n)^2, than the cap {WEINGARTEN_PAIRS}")
+    # each of the p(n) rows sums up to p(n) characters; p(n)^2 > cap exactly
+    # when p(n) > isqrt(cap), so at most isqrt(cap) + 1 partitions are listed
+    listed = islice(partitions_within(args.n, args.n),
+                    isqrt(WEINGARTEN_PAIRS) + 1)
+    if sum(1 for _ in listed) ** 2 > WEINGARTEN_PAIRS:
+        raise BudgetExceededError(
+            f"the Weingarten table for --n {args.n} has more (mu, lambda) "
+            f"pairs, p(n)^2, than the cap {WEINGARTEN_PAIRS}")
     for mu in partitions(args.n):
         print(f"{mu} -> {weingarten(mu, args.d)}")
 

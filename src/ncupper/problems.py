@@ -90,6 +90,15 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _dims(dims, kind: str) -> list[int]:
+    """The dims of a haar, haar-sequence or haar-increasing declaration: a
+    non-empty list of positive integers."""
+    dims = [_integer(x, "dims") for x in dims]
+    if not dims or min(dims) < 1:
+        raise InputError(f"{kind} dims must be positive")
+    return dims
+
+
 def _parse_algebra(obj) -> AlgebraSpec:
     try:
         gens = tuple(GeneratorSpec(g["id"], g["kind"],
@@ -194,6 +203,9 @@ def serialize_problem(problem: ProblemFile) -> dict:
 
 # --- state declarations ----------------------------------------------------
 
+_ORDER_DEPENDENT = ("haar-increasing", "haar-sequence")
+
+
 def _tensored_per_factor(state: StateSpec, algebra: AlgebraSpec) -> StateSpec:
     tags = algebra.factor_tags
     if len(tags) <= 1:
@@ -206,8 +218,7 @@ def _parse_fixed_state(decl: dict, algebra: AlgebraSpec) -> StateSpec:
     if kind == "canonical-trace":
         return CanonicalTrace()
     if kind == "haar":
-        states = [HaarTrace(_integer(x, "dims"))
-                  for x in decl.get("dims", [1])]
+        states = [HaarTrace(x) for x in _dims(decl.get("dims", [1]), kind)]
         psi = states[0] if len(states) == 1 else make_increasing(states)[-1]
         return _tensored_per_factor(psi, algebra)
     if kind == "combination":
@@ -225,6 +236,9 @@ def _parse_fixed_state(decl: dict, algebra: AlgebraSpec) -> StateSpec:
                        _parse_fixed_state(c["state"], algebra))
                       for c in decl["components"])
         return FreeProductState(comps)
+    if kind in _ORDER_DEPENDENT:
+        raise InputError(f"{kind} depends on the order, so it may only be "
+                         f"the top-level state")
     raise InputError(f"unknown state kind {kind!r}")
 
 
@@ -242,12 +256,10 @@ def build_state_family(decl: dict, algebra: AlgebraSpec,
     if not isinstance(decl, dict) or "kind" not in decl:
         raise InputError("state declaration must be an object with a 'kind'")
     kind = decl["kind"]
-    if kind in ("haar-increasing", "haar-sequence"):
+    if kind in _ORDER_DEPENDENT:
         dims = dims_override or decl.get("dims")
         if dims is not None:
-            dims = [_integer(x, "dims") for x in dims]
-            if not dims or min(dims) < 1:
-                raise InputError(f"{kind} dims must be positive")
+            dims = _dims(dims, kind)
 
         def family(d: int) -> StateSpec:
             if kind == "haar-sequence":

@@ -4,6 +4,10 @@ Weingarten function for Haar integration over the unitary group.
 Partitions are weakly decreasing tuples of positive ints; permutations are
 tuples (images of 0..k-1). Everything is exact: characters are ints,
 Weingarten values are Fractions.
+
+Wg(mu, d) of a unitary symbol and G(mu, d, r) of a block U D U* are one
+character sum over the lam |- |mu| with at most d rows, which
+``partitions_within`` lists lazily without building a longer partition.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Callable, Iterator
 
 from .errors import InputError
 
@@ -22,31 +27,22 @@ def partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse-lex order, (n) first, (1,...,1) last."""
     if n < 1:
         raise InputError("partitions(n) needs n >= 1")
+    return list(partitions_within(n, n))
 
-    def gen(remaining: int, cap: int):
+
+def partitions_within(n: int, rows: int) -> Iterator[Partition]:
+    """The partitions of n with at most rows >= 1 parts, lazily in reverse-lex
+    order; a first part below ceil(remaining / rows left) is never tried, as
+    the rows after it could not hold the rest."""
+    def gen(remaining: int, rows: int, cap: int):
         if remaining == 0:
             yield ()
             return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
+        for first in range(min(cap, remaining), -(-remaining // rows) - 1, -1):
+            for rest in gen(remaining - first, rows - 1, first):
                 yield (first,) + rest
 
-    return list(gen(n, n))
-
-
-def partition_counts():
-    """p(0), p(1), p(2), ... without listing a partition, by Euler's
-    pentagonal recurrence p(n) = sum over k >= 1 of (-1)^(k+1)
-    (p(n - k(3k-1)/2) + p(n - k(3k+1)/2))."""
-    p = [1]
-    while True:
-        yield p[-1]
-        n, total, k = len(p), 0, 1
-        while (g := k * (3 * k - 1) // 2) <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * (p[n - g] + (p[n - g - k] if g + k <= n else 0))
-            k += 1
-        p.append(total)
+    return gen(n, rows, n)
 
 
 def is_partition(p: Partition) -> bool:
@@ -119,14 +115,8 @@ def weingarten(mu: Partition, d: int) -> Fraction:
     if not mu or d < 1 or not is_partition(mu):
         raise InputError("weingarten needs a partition of n >= 1 and d >= 1")
     n = sum(mu)
-    total = Fraction(0)
-    for lam in partitions(n):
-        if len(lam) > d:
-            continue
-        # lam and mu are checked partitions: their characters are _mn's
-        total += Fraction(_mn(lam, (1,) * n) * _mn(lam, mu),
-                          content_product(lam, d))
-    return total / factorial(n)
+    ones = (1,) * n
+    return _character_sum(mu, d, lambda lam: _mn(lam, ones)) / factorial(n)
 
 
 @lru_cache(maxsize=None)
@@ -140,14 +130,19 @@ def block_weingarten(mu: Partition, d: int, r: int) -> Fraction:
     G(mu) = sum over lam with at most d rows of
     chi^lam(mu) s_lam(D) / content_product(lam, d)."""
     mu = tuple(sorted(mu, reverse=True))
-    if not mu or d < 1 or not 0 <= r <= d:
+    if not mu or d < 1 or not 0 <= r <= d or not is_partition(mu):
         raise InputError("block_weingarten needs a partition of n >= 1, "
                          "d >= 1 and 0 <= r <= d")
+    return _character_sum(mu, d, lambda lam: _signature_schur(lam, d, r))
+
+
+def _character_sum(mu: Partition, d: int,
+                   weight: Callable[[Partition], int | Fraction]) -> Fraction:
+    """Sum over lam |- |mu| with at most d rows of chi^lam(mu) weight(lam) /
+    content_product(lam, d), for a checked, decreasing partition mu."""
     total = Fraction(0)
-    for lam in partitions(sum(mu)):
-        if len(lam) <= d:
-            total += (character(lam, mu) * _signature_schur(lam, d, r)
-                      / content_product(lam, d))
+    for lam in partitions_within(sum(mu), d):
+        total += Fraction(_mn(lam, mu) * weight(lam), content_product(lam, d))
     return total
 
 
@@ -161,7 +156,7 @@ def _signature_schur(lam: Partition, d: int, r: int) -> Fraction:
         p = 1
         for m in nu:
             p *= d if m % 2 == 0 else 2 * r - d
-        total += Fraction(character(lam, nu) * p, centralizer_order(nu))
+        total += Fraction(_mn(lam, nu) * p, centralizer_order(nu))
     return total
 
 

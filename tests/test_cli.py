@@ -12,7 +12,9 @@ from ncupper.problems import (bundled_problem_path, parse_problem,
                               parse_problem_dict, parse_word_tokens,
                               serialize_problem)
 from ncupper.errors import InputError
-from ncupper.states import HaarTrace, make_increasing
+from ncupper.states import (CanonicalTrace, Combination, FreeProductState,
+                            HaarTrace, TensorProductState, evaluate_state,
+                            make_increasing)
 
 from conftest import run_cli
 
@@ -32,6 +34,17 @@ _JSON_VALUES = st.recursive(
                                        "generators", "id", "gen"]),
                       inner, max_size=3),
     max_leaves=6)
+
+
+# the chsh algebra has two tensor factors, so a haar declaration there is
+# one Haar state per factor
+_HAAR_1 = TensorProductState(((0, HaarTrace(1)), (1, HaarTrace(1))))
+_PSI_12 = make_increasing([HaarTrace(1), HaarTrace(2)])[-1]
+# four hermitian-unitary generators in one tensor factor
+_FREE_PAIRS = {
+    "algebra": {"generators": [{"id": g, "kind": "hermitian-unitary"}
+                               for g in ("b1", "b2", "c1", "c2")]},
+    "objective": [{"coefficient": "1", "word": [{"gen": "b1"}]}]}
 
 
 def _field_paths(node, path=()):
@@ -92,7 +105,27 @@ class TestParsing:
          "haar-sequence dims must be positive"),
         ({"kind": "combination", "terms": [
             {"weight": "1", "state": {"kind": "nope"}}]},
-         "unknown state kind 'nope'")])
+         "unknown state kind 'nope'"),
+        ({"kind": "haar", "dims": []}, "haar dims must be positive"),
+        ({"kind": "haar", "dims": [0]}, "haar dims must be positive"),
+        ({"kind": "haar-increasing", "dims": [0]},
+         "haar-increasing dims must be positive"),
+        ({"kind": "combination", "terms": [
+            {"weight": "1", "state": {"kind": "haar", "dims": [2, -1]}}]},
+         "haar dims must be positive"),
+        ({"kind": "combination", "terms": [
+            {"weight": "1", "state": {"kind": "haar-increasing"}}]},
+         "haar-increasing depends on the order, so it may only be the "
+         "top-level state"),
+        ({"kind": "tensor", "factors": {
+            "0": {"kind": "haar-sequence"}, "1": {"kind": "canonical-trace"}}},
+         "haar-sequence depends on the order, so it may only be the "
+         "top-level state"),
+        ({"kind": "free-product", "components": [
+            {"generators": ["b1", "b2", "c1", "c2"],
+             "state": {"kind": "haar-sequence", "dims": [2]}}]},
+         "haar-sequence depends on the order, so it may only be the "
+         "top-level state")])
     def test_malformed_state_rejected(self, state, message):
         data = dict(_BUNDLED_DICTS["chsh"], state=state)
         with pytest.raises(InputError) as exc:
@@ -118,6 +151,40 @@ class TestParsing:
             if kind == "haar-increasing":
                 states = make_increasing(states)
             assert family(d) == states[-1]
+
+    @pytest.mark.parametrize("problem, decl, expected, word, value", [
+        ("chsh", {"kind": "haar", "dims": [1, 2]},
+         TensorProductState(((0, _PSI_12), (1, _PSI_12))),
+         "b1 b2 b1 b2 c1 c2 c1 c2", Fraction(121, 2025)),
+        ("chsh", {"kind": "combination", "terms": [
+            {"weight": "1/2", "state": {"kind": "haar", "dims": [1]}},
+            {"weight": "1/2", "state": {"kind": "canonical-trace"}}]},
+         Combination(((Fraction(1, 2), _HAAR_1),
+                      (Fraction(1, 2), CanonicalTrace()))),
+         "b1 b2 b1 b2", Fraction(-1, 6)),
+        ("chsh", {"kind": "tensor", "factors": {
+            "0": {"kind": "haar", "dims": [1]},
+            "1": {"kind": "canonical-trace"}}},
+         TensorProductState(((0, _HAAR_1), (1, CanonicalTrace()))),
+         "b1 b2 b1 b2", Fraction(-1, 3)),
+        (_FREE_PAIRS, {"kind": "free-product", "components": [
+            {"generators": ["b1", "b2"], "state": {"kind": "haar"}},
+            {"generators": ["c1", "c2"], "state": {"kind": "haar"}}]},
+         FreeProductState(((frozenset({"b1", "b2"}), HaarTrace(1)),
+                           (frozenset({"c1", "c2"}), HaarTrace(1)))),
+         "b1 b2 b1 b2 c1 c2 c1 c2 b2 b1 b2 b1 c2 c1 c2 c1",
+         Fraction(17, 81))],
+        ids=["haar", "combination", "tensor", "free-product"])
+    def test_fixed_state_kinds(self, tmp_path, problem, decl, expected, word,
+                               value):
+        data = _BUNDLED_DICTS[problem] if isinstance(problem, str) else problem
+        path = tmp_path / "state.problem"
+        path.write_text(json.dumps(dict(data, state=decl)))
+        p = parse_problem(path)
+        state = p.state_family()(1)
+        assert state == expected
+        assert evaluate_state(state, parse_word_tokens(word, p.algebra),
+                              p.algebra) == value
 
     def test_huge_factor_tag_rejected(self):
         # the contiguity check must not build range(factor + 1)
@@ -275,7 +342,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv", [
         ["solve", "chsh", "--order", "2", "--budget", "1"],
-        # p(100)^2 pairs: refused from the partition count, none listed
+        # p(100)^2 pairs: refused once 1,001 partitions are listed
         ["weingarten", "--n", "100", "--d", "2"],
         # p(22)^2 = 1,004,004 pairs, over the table's cap of 10^6
         ["weingarten", "--n", "22", "--d", "2"],
@@ -332,6 +399,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "tol must be finite and >= 0" in err[0]
 
+    def test_solve_negative_seed_exit_2(self, capsys):
+        argv = ["solve", str(bundled_problem_path("chsh")), "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seed must be >= 0"]
+
     @pytest.mark.parametrize("command, env", [
         (["solve", "--budget", "-1"], {}),
         (["eval-state", "b1", "--budget", "-3"], {}),
@@ -346,7 +419,8 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == ""  # refused before any work
         err = err.splitlines()
-        assert len(err) == 1 and "--budget must be >= 0" in err[0]
+        source = next(iter(env), "--budget")
+        assert len(err) == 1 and f"{source} must be >= 0" in err[0]
 
     @pytest.mark.parametrize("command, env", [
         (["solve", "--dims", ","], {}),
@@ -521,7 +595,29 @@ class TestOtherCommands:
             monkeypatch.setenv("NCUPPER_SEED", "-1")
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: seed must be >= 0"]
+            f"error: {'--seed' if via == 'flag' else 'NCUPPER_SEED'} "
+            f"must be >= 0"]
+
+    @pytest.mark.parametrize("source, value, low", [
+        ("--seed", "-1", 0), ("NCUPPER_SEED", "-1", 0),
+        ("--samples", "1", 2), ("NCUPPER_SAMPLES", "1", 2)])
+    def test_mc_check_bad_seed_or_samples_refused_before_work(
+            self, capsys, monkeypatch, source, value, low):
+        def engine(*args, **kwargs):
+            raise AssertionError("the exact engine ran")
+        monkeypatch.setattr("ncupper.cli.exact_trace_moment", engine)
+        # about 3 s of exact engine at dim 3 if the value were checked late
+        word = " ".join(["u1"] * 4 + ["u2"] * 4 + ["u1*"] * 4 + ["u2*"] * 4)
+        argv = ["mc-check", str(bundled_problem_path("free-unitaries")), word,
+                "--dim", "3"]
+        if source.startswith("--"):
+            argv += [source, value]
+        else:
+            monkeypatch.setenv(source, value)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: {source} must be >= {low}"]
 
     def test_eval_state_unit(self):
         r = run_cli("eval-state", str(bundled_problem_path("chsh")), "1")

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ncupper.cli import OPTIONS, build_parser
+from ncupper.cli import OPTIONS, WEINGARTEN_PAIRS, build_parser
 from ncupper.problems import parse_problem_dict
+from ncupper.symcomb import partitions
 
 from conftest import run_cli
 
@@ -65,6 +66,16 @@ def test_cli_synopsis_matches_parsers():
     variables = {f"NCUPPER_{name.upper()}"
                  for options in OPTIONS.values() for name, _, _ in options}
     assert set(re.findall(r"NCUPPER_[A-Z]+", _section("## CLI"))) == variables
+
+
+def test_weingarten_cap_matches_the_quoted_largest_n():
+    # the largest N with p(N)^2 within the cap, from the partitions alone
+    n = 1
+    while len(partitions(n + 1)) ** 2 <= WEINGARTEN_PAIRS:
+        n += 1
+    pairs = len(partitions(n)) ** 2
+    assert (f"The largest N it admits is {n} (p({n})² = {pairs:,})"
+            in " ".join(_section("## CLI").split()))
 
 
 def test_chsh_example_prints_quoted_bounds():

@@ -135,6 +135,27 @@ class TestFreeProduct:
         assert evaluate_state(state, w(unitary_algebra, "u1 u2 u1* u2*"),
                               unitary_algebra) == 0
 
+    @pytest.mark.parametrize("dim, value", [(1, Fraction(17, 81)),
+                                            (2, Fraction(449, 50625))])
+    def test_components_with_nonzero_moments(self, dim, value):
+        # x = (b1 b2)^2 and y = (c1 c2)^2 have nonzero moments, so the walk
+        # splits off a block's mean and merges the blocks beside it
+        algebra = AlgebraSpec(tuple(GeneratorSpec(g, "hermitian-unitary", 0)
+                                    for g in ("b1", "b2", "c1", "c2")))
+        state = FreeProductState(((frozenset({"b1", "b2"}), HaarTrace(dim)),
+                                  (frozenset({"c1", "c2"}), HaarTrace(dim))))
+
+        def phi(*parts):
+            return evaluate_state(state, w(algebra, " ".join(parts)), algebra)
+
+        x, x2 = "b1 b2 b1 b2", "b2 b1 b2 b1"
+        y, y2 = "c1 c2 c1 c2", "c2 c1 c2 c1"
+        assert phi(x, y) == phi(x) * phi(y) != 0
+        assert phi(x, y, x2) == phi(x, x2) * phi(y)
+        assert phi(x, y, x2, y2) == (
+            phi(x, x2) * phi(y) * phi(y2) + phi(x) * phi(x2) * phi(y, y2)
+            - phi(x) * phi(x2) * phi(y) * phi(y2)) == value
+
     def test_uncovered_generator(self, unitary_algebra):
         state = FreeProductState(((frozenset({"u1"}), CanonicalTrace()),))
         with pytest.raises(InputError):

@@ -7,7 +7,7 @@ import pytest
 from ncupper.errors import InputError
 from ncupper.symcomb import (block_weingarten, centralizer_order, character,
                              compose, content_product, cycle_type, dimension,
-                             inverse, partition_counts, partitions,
+                             inverse, partitions, partitions_within,
                              weingarten)
 
 
@@ -36,13 +36,17 @@ class TestPartitions:
         assert set(partitions(5)) == brute_partitions(5)
 
     def test_reverse_lex(self):
-        counts = list(itertools.islice(partition_counts(), 101))
-        for n in range(1, 8):
+        for n in range(1, 10):
             ps = partitions(n)
             assert ps == sorted(ps, reverse=True)
             assert set(ps) == brute_partitions(n)
-            assert len(ps) == counts[n]
-        assert counts[100] == 190_569_292  # p(100), never listed
+            for rows in range(1, n + 1):
+                assert list(partitions_within(n, rows)) == [
+                    p for p in ps if len(p) <= rows]
+        # at most 3 rows: round((n + 3)^2 / 12) of them, while p(200) is
+        # about 4 * 10^12, so no longer partition may be built on the way
+        assert (sum(1 for _ in partitions_within(200, 3))
+                == round(203 ** 2 / 12))
 
 
 def standard_tableaux_count(lam):
@@ -201,3 +205,7 @@ class TestBlockWeingarten:
     def test_rejects_bad_signature(self):
         with pytest.raises(InputError):
             block_weingarten((2,), 2, 3)
+        # mu is checked up front, not by a character call inside the sum
+        for mu in [(2, 0), (2, -1)]:
+            with pytest.raises(InputError, match="block_weingarten needs"):
+                block_weingarten(mu, 2, 1)
