@@ -86,6 +86,12 @@ class AlgebraSpec:
         return tuple(sorted({g.factor for g in self.generators}))
 
     @cached_property
+    def unitary_slots(self) -> dict[str, int]:
+        """Position of each unitary generator among the unitary ones."""
+        return {g.id: i for i, g in enumerate(
+            g for g in self.generators if g.kind == "unitary")}
+
+    @cached_property
     def letters(self) -> dict["Letter", "LetterInfo"]:
         """Every letter of the algebra, starred or not, with its table row."""
         out = {}
@@ -182,6 +188,21 @@ def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
         adjoint += _least_rotation(tuple(table[l].adjoint
                                          for l in reversed(run)))
     return min(forward, adjoint)
+
+
+def charge(word: Word, algebra: AlgebraSpec) -> tuple[int, ...]:
+    """Net exponent (count of u minus count of u*) of each unitary generator
+    in the word, in ``algebra.generators`` order; () when the algebra has no
+    unitary generator. Additive under products, negated by the adjoint and
+    kept by ``canonicalize``, which only cancels u u* pairs."""
+    slots = algebra.unitary_slots
+    if not slots:
+        return ()
+    out = [0] * len(slots)
+    for l in word:
+        if (i := slots.get(l.gen)) is not None:
+            out[i] += -1 if l.star else 1
+    return tuple(out)
 
 
 def _least_rotation(t: tuple[Letter, ...]) -> tuple[Letter, ...]:

@@ -33,11 +33,11 @@ from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
 from .problems import (ProblemFile, parse_problem, parse_word_tokens,
                        serialize_problem)
 from .states import evaluate_state, trace_atoms
-from .symcomb import partitions, partitions_within, weingarten
+from .symcomb import partitions_within, weingarten_table
 
 
 # The most (mu, lambda) pairs, p(n)^2, of a weingarten table: n = 21 has
-# 627,264 and took 21 s and 225 MB on a 2-core VM; time grows about 3x per +2.
+# 627,264 and took 7.6 s and 164 MB at d = 21 on a 2-core VM.
 WEINGARTEN_PAIRS = 10 ** 6
 
 
@@ -229,8 +229,8 @@ def run_weingarten(args):
         raise BudgetExceededError(
             f"the Weingarten table for --n {args.n} has more (mu, lambda) "
             f"pairs, p(n)^2, than the cap {WEINGARTEN_PAIRS}")
-    for mu in partitions(args.n):
-        print(f"{mu} -> {weingarten(mu, args.d)}")
+    for mu, wg in weingarten_table(args.n, args.d):
+        print(f"{mu} -> {wg}")
 
 
 def run_mc_check(args):

@@ -9,24 +9,34 @@ eigenvalue of a self-adjoint polynomial:
 Each sequence builds only its exact pencil at order d; the one loop
 ``_orders`` times, solves and records every order. Moment entries are exact
 rationals; floats appear only in the eigensolve.
+
+Only words of unitary charge 0 (``algebra.charge``) are evaluated, since
+every state is 0 on the others (the charge rule of ``states``): cell (u, v)
+of M(f) sums the terms t of f with charge(t) = charge(u) - charge(v), and a
+cell with none is 0; eta evaluates the charge-0 terms of each f^k, though
+f^k is built in full for the next power. ``WORD_BUDGET`` still counts every
+(cell, term) pair, n(n+1)/2 * |f|, before this filter. A state that cannot
+evaluate words over every generator of the basis and f gets every word, so
+that a word it refuses raises at any order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, NCPolynomial, Word, is_self_adjoint,
-                      multiply, star_word, words_up_to)
+from .algebra import (AlgebraSpec, NCPolynomial, Word, charge,
+                      is_self_adjoint, multiply, star_word, words_up_to)
 from .errors import (BudgetExceededError, IndefiniteBError, InputError,
                      KernelViolationError)
 from .haar import DEFAULT_BUDGET
-from .states import StateSpec, evaluate_sums
+from .states import StateSpec, can_evaluate, evaluate_sums
 
 DEFAULT_TOL = 1e-9
 WORD_BUDGET = 10 ** 6
@@ -85,13 +95,26 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
         raise BudgetExceededError(
             f"moment matrix needs {words} word evaluations, over "
             f"{WORD_BUDGET}")
+    # psi(u* t v) = 0 unless charge(v) = charge(u) - charge(t)
+    grade = _grader(state, [*basis, *f.terms], algebra)
+    charges = [grade(u) for u in basis]
+    columns: dict[tuple[int, ...], list[int]] = {}  # charge -> j, increasing
+    for j, q in enumerate(charges):
+        columns.setdefault(q, []).append(j)
+    terms: dict[tuple[int, ...], list[tuple[Word, Fraction]]] = {}
+    for w, c in f.terms.items():
+        terms.setdefault(grade(w), []).append((w, c))
+    cells = []  # (i, j, terms of f that can be nonzero in cell (i, j))
+    for i, qu in enumerate(charges):
+        for qt, ts in terms.items():
+            js = columns.get(tuple(a - b for a, b in zip(qu, qt)), ())
+            cells += ((i, j, ts) for j in js[bisect_left(js, i):])
     adjoints = [star_word(u) for u in basis]
-    cells = [(i, j) for i in range(n) for j in range(i, n)]
     values = evaluate_sums(state, (
-        ((adjoints[i] + w + basis[j], c)
-         for w, c in f.terms.items()) for i, j in cells), algebra, budget)
+        ((adjoints[i] + w + basis[j], c) for w, c in ts)
+        for i, j, ts in cells), algebra, budget)
     entries = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), v in zip(cells, values):
+    for (i, j, _), v in zip(cells, values):
         entries[i][j] = entries[j][i] = v
     return MomentMatrix(basis, entries)
 
@@ -103,16 +126,32 @@ def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
     if not is_self_adjoint(f, algebra):
         raise InputError("scalar_moments requires f = f*")
 
+    grade = _grader(state, f.terms, algebra)
+
     def powers():  # each built after the previous one is evaluated
         power = NCPolynomial.one()
         yield power.terms.items()
         for _ in range(max_power):
+            # built in full, as the next power needs every term
             power = multiply(power, f, algebra)
             if len(power.terms) > WORD_BUDGET:
                 raise BudgetExceededError(
                     f"support of f^k exceeded {WORD_BUDGET} words")
-            yield power.terms.items()
+            yield ((w, c) for w, c in power.terms.items()
+                   if not any(grade(w)))
     return evaluate_sums(state, powers(), algebra, budget)
+
+
+def _grader(state: StateSpec, words: Sequence[Word], algebra: AlgebraSpec
+            ) -> Callable[[Word], tuple[int, ...]]:
+    """``algebra.charge`` when the state can evaluate words over all the
+    generators of the given words, and so every word built from them. Else
+    the charge () of every word: then all words are evaluated, and the one
+    the state refuses raises as it would without grading."""
+    if can_evaluate(state, frozenset(l.gen for w in words for l in w),
+                    algebra):
+        return lambda w: charge(w, algebra)
+    return lambda w: ()
 
 
 def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilReport:

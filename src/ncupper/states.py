@@ -18,11 +18,17 @@ Supported variants:
 Every variant is tracial with real values (for combinations, tensor and free
 products: Voiculescu-Dykema-Nica, "Free random variables", 1992), so values
 are memoized on ``algebra.tracial_class``; a non-tracial state added later
-must opt out. ``_eval`` is the one memo, so a combination builds one
-histogram per class, and its budget counts the configurations once for all
-of its dims. Whether a state can evaluate a word (one generator kind per
-Haar trace, a free product covering every generator) is checked on the
-canonical word before reduction: ``u b u*`` is refused, its class ``b`` not.
+must opt out. Every variant is also invariant under u -> e^{i theta} u for
+each unitary generator u: Haar measure is, a word that reduces to 1 has net
+exponent 0 in every generator, and combinations, tensor and free products
+keep the invariance. So psi(w) = 0 unless ``algebra.charge(w)`` is 0, and
+``hierarchy`` skips such words; a state that breaks this charge
+rule must opt out as well. ``_eval`` is the one memo, so a combination
+builds one histogram per class, and its budget counts the configurations
+once for all of its dims. Whether a state can evaluate a word (one
+generator kind per Haar trace, a free product covering every generator) is
+checked on the canonical word before reduction: ``u b u*`` is refused, its
+class ``b`` not.
 """
 
 from __future__ import annotations
@@ -124,6 +130,17 @@ def evaluate_sums(state: StateSpec,
                              c.denominator * v.denominator))
         out.append(exact_sum(products))
     return out
+
+
+def can_evaluate(state: StateSpec, gens: frozenset,
+                 algebra: AlgebraSpec) -> bool:
+    """Whether the state can evaluate words over gens. A set it refuses is
+    refused within every larger set too."""
+    try:
+        _check(state, gens, algebra)
+    except InputError:
+        return False
+    return True
 
 
 def _check(state: StateSpec, gens: frozenset, algebra: AlgebraSpec) -> None:

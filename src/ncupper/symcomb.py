@@ -8,13 +8,14 @@ Weingarten values are Fractions.
 Wg(mu, d) of a unitary symbol and G(mu, d, r) of a block U D U* are one
 character sum over the lam |- |mu| with at most d rows, which
 ``partitions_within`` lists lazily without building a longer partition.
+``weingarten_table`` computes the factors of each lam once for all mu.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterator
 
 from .errors import InputError
@@ -114,9 +115,23 @@ def weingarten(mu: Partition, d: int) -> Fraction:
     mu = tuple(sorted(mu, reverse=True))
     if not mu or d < 1 or not is_partition(mu):
         raise InputError("weingarten needs a partition of n >= 1 and d >= 1")
-    n = sum(mu)
+    return _character_sum(mu, _wg_weights(sum(mu), d)) / factorial(sum(mu))
+
+
+def weingarten_table(n: int, d: int) -> Iterator[tuple[Partition, Fraction]]:
+    """(mu, Wg(mu, d)) for every mu |- n, in ``partitions`` order. The
+    factors that depend only on lam are computed once for the table, so a
+    row costs one character per lam."""
+    if n < 1 or d < 1:
+        raise InputError("weingarten needs a partition of n >= 1 and d >= 1")
+    weights = _wg_weights(n, d)
+    for mu in partitions(n):
+        yield mu, _character_sum(mu, weights) / factorial(n)
+
+
+def _wg_weights(n: int, d: int) -> tuple[int, list[tuple[Partition, int]]]:
     ones = (1,) * n
-    return _character_sum(mu, d, lambda lam: _mn(lam, ones)) / factorial(n)
+    return _lambda_weights(n, d, lambda lam: _mn(lam, ones))
 
 
 @lru_cache(maxsize=None)
@@ -133,17 +148,30 @@ def block_weingarten(mu: Partition, d: int, r: int) -> Fraction:
     if not mu or d < 1 or not 0 <= r <= d or not is_partition(mu):
         raise InputError("block_weingarten needs a partition of n >= 1, "
                          "d >= 1 and 0 <= r <= d")
-    return _character_sum(mu, d, lambda lam: _signature_schur(lam, d, r))
+    return _character_sum(mu, _lambda_weights(
+        sum(mu), d, lambda lam: _signature_schur(lam, d, r)))
 
 
-def _character_sum(mu: Partition, d: int,
-                   weight: Callable[[Partition], int | Fraction]) -> Fraction:
-    """Sum over lam |- |mu| with at most d rows of chi^lam(mu) weight(lam) /
-    content_product(lam, d), for a checked, decreasing partition mu."""
-    total = Fraction(0)
-    for lam in partitions_within(sum(mu), d):
-        total += Fraction(_mn(lam, mu) * weight(lam), content_product(lam, d))
-    return total
+def _lambda_weights(n: int, d: int,
+                    weight: Callable[[Partition], int | Fraction]
+                    ) -> tuple[int, list[tuple[Partition, int]]]:
+    """The lam |- n with at most d rows, each with the numerator of
+    weight(lam) / content_product(lam, d) over the weights' least common
+    denominator, which comes first."""
+    weights = [(lam, Fraction(weight(lam), content_product(lam, d)))
+               for lam in partitions_within(n, d)]
+    den = lcm(*(w.denominator for _, w in weights))
+    return den, [(lam, w.numerator * (den // w.denominator))
+                 for lam, w in weights]
+
+
+def _character_sum(mu: Partition,
+                   weights: tuple[int, list[tuple[Partition, int]]]
+                   ) -> Fraction:
+    """Sum over the lam of ``_lambda_weights`` of chi^lam(mu) times lam's
+    weight, for a checked, decreasing partition mu of the same n."""
+    den, nums = weights
+    return Fraction(sum(_mn(lam, mu) * num for lam, num in nums), den)
 
 
 @lru_cache(maxsize=None)

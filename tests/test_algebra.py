@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncupper.algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial,
-                             Word, canonicalize, evaluate, multiply, star,
-                             words_up_to)
+                             Word, canonicalize, charge, evaluate, multiply,
+                             star, star_word, words_up_to)
 from ncupper.errors import InputError
 from conftest import random_word
 
@@ -219,6 +219,36 @@ class TestEvaluate:
             rhs = evaluate(p, assign, unitary_algebra) @ \
                 evaluate(q, assign, unitary_algebra)
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestCharge:
+    def test_net_exponent_per_unitary_in_generator_order(self):
+        algebra = AlgebraSpec((GeneratorSpec("v", "unitary", 1),
+                               GeneratorSpec("b", "hermitian-unitary", 0),
+                               GeneratorSpec("x", "general", 0),
+                               GeneratorSpec("u", "unitary", 0)))
+        word = w(("u", False), ("b", False), ("v", True), ("x", True),
+                 ("u", False), ("v", True), ("u", True))
+        assert charge(word, algebra) == (-2, 1)
+        assert charge((), algebra) == (0, 0)
+
+    def test_no_unitary_generator(self, herm_algebra):
+        assert charge(w(("b1", False), ("b2", True)), herm_algebra) == ()
+
+    def test_additive_negated_by_star_kept_by_canonicalize(
+            self, bipartite_algebra):
+        algebra = AlgebraSpec(bipartite_algebra.generators + (
+            GeneratorSpec("u", "unitary", 0),
+            GeneratorSpec("v", "unitary", 1)))
+        rng = random.Random(11)
+        for _ in range(200):
+            a = random_word(rng, algebra, 6)
+            b = random_word(rng, algebra, 6)
+            qa, qb = charge(a, algebra), charge(b, algebra)
+            assert charge(a + b, algebra) == tuple(
+                x + y for x, y in zip(qa, qb))
+            assert charge(star_word(a), algebra) == tuple(-x for x in qa)
+            assert charge(canonicalize(a, algebra), algebra) == qa
 
 
 @given(st.lists(st.tuples(st.sampled_from(["b1", "b2", "c1", "c2"]),

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -549,6 +550,17 @@ class TestOtherCommands:
         assert r.returncode == 0
         assert "(1, 1) -> 1/8" in r.stdout
         assert "(2,) -> -1/24" in r.stdout
+
+    def test_weingarten_tables_are_pinned(self, capsys):
+        # sha256 of every table for 1 <= d <= n <= 12, in that order, as
+        # printed when each row summed its own lam factors
+        digest = hashlib.sha256()
+        for n in range(1, 13):
+            for d in range(1, n + 1):
+                assert main(["weingarten", "--n", str(n), "--d", str(d)]) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == ("ef1b388a59db0e8c3935a4d2978a026e"
+                                      "7c9e79a17fe7f4a5128a785bf3dc4284")
 
     def test_mc_check(self):
         r = run_cli("mc-check", str(bundled_problem_path("free-unitaries")),

@@ -5,15 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncupper.algebra import (Letter, NCPolynomial, Word, canonicalize,
-                             words_up_to)
+from ncupper.algebra import (AlgebraSpec, GeneratorSpec, Letter,
+                             NCPolynomial, Word, canonicalize,
+                             charge, multiply, star, star_word, words_up_to)
 from ncupper import hierarchy
 from ncupper.errors import (BudgetExceededError, IndefiniteBError, InputError,
                             KernelViolationError)
 from ncupper.hierarchy import (eta_sequence, lambda_sequence, max_shift,
                                moment_matrix, scalar_moments)
 from ncupper.problems import bundled_problem_path, parse_problem
-from ncupper.states import HaarTrace
+from ncupper.states import (CanonicalTrace, FreeProductState, HaarTrace,
+                            evaluate_poly, evaluate_sums)
 
 
 @pytest.fixture(scope="module")
@@ -124,34 +126,128 @@ class TestMomentMatrix:
                 assert abs(float(m.entries[i][j]) - est) <= 5 * err + 1e-10
 
     def test_each_class_evaluated_once(self, monkeypatch):
+        # only the charge-0 words u* t v are evaluated, each class once
         from ncupper import states
-        from ncupper.algebra import multiply, star, star_word, tracial_class
+        from ncupper.algebra import (charge, multiply, star, star_word,
+                                     tracial_class)
+        for name in ("free-unitaries", "commutator-example"):
+            problem = parse_problem(bundled_problem_path(name))
+            algebra, f = problem.algebra, problem.objective
+            basis = words_up_to(algebra, problem.subset, 2)
+            psi = problem.state_family()(2)
+            seen = []
+            _eval = states._eval
+
+            def counted(state, word, algebra, budget):
+                if state is psi:  # not the recursion into psi's parts
+                    seen.append(word)
+                return _eval(state, word, algebra, budget)
+
+            monkeypatch.setattr(states, "_eval", counted)
+            m = moment_matrix(f, psi, basis, algebra)
+            words = [canonicalize(star_word(u) + w + v, algebra)
+                     for u in basis for v in basis for w in f.terms]
+            classes = {tracial_class(x, algebra) for x in words
+                       if not any(charge(x, algebra))}
+            assert len(classes) < len({tracial_class(x, algebra)
+                                       for x in words}), name
+            assert len(seen) == len(set(seen)) == len(classes), name
+            assert set(seen) == classes, name
+            monkeypatch.setattr(states, "_eval", _eval)
+            # the entries are those of the polynomial products u* f v with
+            # every term evaluated
+            for i, u in enumerate(basis):
+                for j, v in enumerate(basis):
+                    p = multiply(multiply(
+                        star(NCPolynomial.from_word(u), algebra), f, algebra),
+                        NCPolynomial.from_word(v), algebra)
+                    assert m.entries[i][j] == states.evaluate_poly(
+                        psi, p, algebra), name
+
+
+class TestChargeGrading:
+    """moment_matrix and scalar_moments skip the words whose unitary charge
+    is not zero; evaluated anyway, every skipped word is exactly 0, and the
+    results equal those of evaluating every word."""
+
+    def _assert_matrix_graded(self, f, state, basis, algebra):
+        # every (cell, term) pair of the upper triangle, evaluated
+        cells = [(i, j) for i in range(len(basis))
+                 for j in range(i, len(basis))]
+        sums = [[(star_word(basis[i]) + w + basis[j], c)
+                 for w, c in f.terms.items()] for i, j in cells]
+        entries = [[None] * len(basis) for _ in basis]
+        for (i, j), v in zip(cells, evaluate_sums(state, sums, algebra)):
+            entries[i][j] = entries[j][i] = v
+        skipped = [w for terms in sums for w, _ in terms
+                   if any(charge(w, algebra))]
+        assert skipped
+        assert set(evaluate_sums(state, [[(w, 1)] for w in skipped],
+                                 algebra)) == {0}
+        assert moment_matrix(f, state, basis, algebra).entries == entries
+
+    def _assert_powers_graded(self, f, state, max_power, algebra):
+        power, want, dropped = NCPolynomial.one(), [], []
+        for _ in range(max_power + 1):
+            want.append(evaluate_poly(state, power, algebra))
+            dropped += [w for w in power.terms if any(charge(w, algebra))]
+            power = multiply(power, f, algebra)
+        assert dropped
+        assert set(evaluate_sums(state, [[(w, 1)] for w in dropped],
+                                 algebra)) == {0}
+        assert scalar_moments(f, state, max_power, algebra) == want
+
+    @pytest.mark.parametrize("name", ["free-unitaries", "commutator-example"])
+    def test_bundled_lambda_order3(self, name):
+        problem = parse_problem(bundled_problem_path(name))
+        self._assert_matrix_graded(
+            problem.objective, problem.state_family()(3),
+            words_up_to(problem.algebra, problem.subset, 3), problem.algebra)
+
+    def test_free_unitaries_eta_to_f7(self):
         problem = parse_problem(bundled_problem_path("free-unitaries"))
-        algebra, f = problem.algebra, problem.objective
-        basis = words_up_to(algebra, problem.subset, 2)
-        psi = problem.state_family()(2)
-        seen = []
-        _eval = states._eval
+        self._assert_powers_graded(problem.objective,
+                                   problem.state_family()(3), 7,
+                                   problem.algebra)
 
-        def counted(state, word, algebra, budget):
-            if state is psi:  # not the recursion into psi's parts
-                seen.append(word)
-            return _eval(state, word, algebra, budget)
+    @pytest.mark.parametrize("state", [
+        CanonicalTrace(),
+        FreeProductState(((frozenset({"u1"}), CanonicalTrace()),
+                          (frozenset({"u2"}), HaarTrace(2))))],
+        ids=["canonical", "free-product"])
+    def test_two_unitaries_order2(self, unitary_algebra, state):
+        algebra = unitary_algebra
+        f = NCPolynomial.zero()
+        for text in ("u1", "u2 u1", "u1 u2 u1* u2*", "u1 u1"):
+            word = tuple(Letter(g.rstrip("*"), g.endswith("*"))
+                         for g in text.split())
+            p = NCPolynomial.from_word(word)
+            f = f + p + star(p, algebra)
+        f = f + NCPolynomial.scalar(Fraction(1, 3))
+        self._assert_matrix_graded(f, state,
+                                   words_up_to(algebra, ["u1", "u2"], 2),
+                                   algebra)
+        self._assert_powers_graded(f, state, 3, algebra)
 
-        monkeypatch.setattr(states, "_eval", counted)
-        m = moment_matrix(f, psi, basis, algebra)
-        classes = {tracial_class(canonicalize(
-            star_word(u) + w + v, algebra), algebra)
-            for u in basis for v in basis for w in f.terms}
-        assert len(seen) == len(set(seen)) == len(classes)
-        assert set(seen) == classes
-        # the entries are those of the polynomial products u* f v
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                p = multiply(multiply(star(NCPolynomial.from_word(u), algebra),
-                                      f, algebra),
-                             NCPolynomial.from_word(v), algebra)
-                assert m.entries[i][j] == states.evaluate_poly(psi, p, algebra)
+    @pytest.mark.parametrize("kinds, state, message", [
+        (("unitary", "unitary"),
+         FreeProductState(((frozenset({"g1"}), CanonicalTrace()),)),
+         "'g2' not covered"),
+        (("unitary", "hermitian-unitary"), HaarTrace(1),
+         "cannot evaluate kinds")])
+    def test_refused_state_raises_though_refused_words_are_charged(
+            self, kinds, state, message):
+        # at order 1 every word over both generators has nonzero charge, so
+        # only evaluating it anyway reaches the refusal
+        algebra = AlgebraSpec(tuple(GeneratorSpec(f"g{i}", kind)
+                                    for i, kind in enumerate(kinds, 1)))
+        g1, g2 = (NCPolynomial.from_word((Letter(g),)) for g in ("g1", "g2"))
+        f = g1 + star(g1, algebra)
+        with pytest.raises(InputError, match=message):
+            moment_matrix(f, state, words_up_to(algebra, ["g1", "g2"], 1),
+                          algebra)
+        with pytest.raises(InputError, match=message):  # g1 g2 in f^2
+            scalar_moments(f + g2 + star(g2, algebra), state, 2, algebra)
 
 
 class TestScalarMoments:

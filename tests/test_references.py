@@ -6,6 +6,7 @@ digest or a bound fails here and not only in the benchmark. The row shape,
 each pencil's basis size and rank of B and the hierarchies a row carries,
 is pinned here too."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -72,3 +73,23 @@ def test_eta_run_rows_carry_only_eta(capsys):
     assert [set(row) for row in rows] == [{"d", "eta"}] * 2
     assert [(row["eta"]["basis_size"], row["eta"]["rank_b"])
             for row in rows] == SHAPES["chsh"]["eta"][:2]
+
+
+# Exit code and sha256 of the --format machine stdout of every bundled
+# problem under each --hierarchy at --order 3, recorded before charge grading
+# skipped the words whose unitary charge is not zero. commutator-example's
+# eta and both runs exit 3 on the Weingarten budget, with no stdout.
+GOLDEN = json.loads(Path(__file__).with_name(
+    "solve_order3_machine.json").read_text())
+GOLDEN_RUNS = [(p, h) for p in sorted(GOLDEN) for h in sorted(GOLDEN[p])]
+
+
+@pytest.mark.parametrize("problem, hierarchy", GOLDEN_RUNS,
+                         ids=[f"{p}-{h}" for p, h in GOLDEN_RUNS])
+def test_solve_order3_machine_output_is_pinned(capsys, problem, hierarchy):
+    code = cli.main(["solve", str(bundled_problem_path(problem)),
+                     "--order", str(ORDER), "--hierarchy", hierarchy,
+                     "--format", "machine"])
+    out = capsys.readouterr().out
+    assert {"exit": code, "stdout_sha256": hashlib.sha256(
+        out.encode()).hexdigest()} == GOLDEN[problem][hierarchy]

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ncupper import states
 from ncupper.algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial,
-                             Word, canonicalize, star, star_word,
+                             Word, canonicalize, charge, star, star_word,
                              tracial_class, word_str, words_up_to)
 from ncupper.errors import InputError
 from ncupper.haar import DEFAULT_BUDGET, haar_sample
@@ -160,6 +161,21 @@ class TestFreeProduct:
         state = FreeProductState(((frozenset({"u1"}), CanonicalTrace()),))
         with pytest.raises(InputError):
             evaluate_state(state, w(unitary_algebra, "u2"), unitary_algebra)
+
+
+_THREE_UNITARIES = AlgebraSpec(tuple(GeneratorSpec(g, "unitary", 0)
+                                     for g in ("u1", "u2", "u3")))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3"]),
+                          st.booleans()), min_size=1, max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_nonzero_charge_evaluates_to_zero(pairs):
+    # the charge rule: every state is invariant under u -> e^{i theta} u
+    word = tuple(Letter(g, s) for g, s in pairs)
+    assume(any(charge(word, _THREE_UNITARIES)))
+    for state in (CanonicalTrace(), HaarTrace(1), HaarTrace(2), HaarTrace(3)):
+        assert evaluate_state(state, word, _THREE_UNITARIES) == 0, state
 
 
 class TestMakeIncreasing:
@@ -400,27 +416,36 @@ class TestCombinationHistogram:
     def test_one_histogram_per_state_and_class(self, monkeypatch):
         from ncupper.hierarchy import lambda_sequence
         problem = parse_problem(bundled_problem_path("free-unitaries"))
-        builds = []
+        builds = []  # (points of the build, dims of the state it serves)
         build = states.weingarten_histogram
-
-        def counted_build(word, points, budget):
-            builds.append(len(points))
-            return build(word, points, budget)
-
         pairs = set()
         _eval = states._eval
+        serving = []  # the combinations being evaluated, innermost last
+
+        def counted_build(word, points, budget):
+            builds.append((len(points), len(serving[-1].terms)))
+            return build(word, points, budget)
 
         def counted_eval(state, word, algebra, budget):
-            if isinstance(state, Combination) and word:
+            if not isinstance(state, Combination):
+                return _eval(state, word, algebra, budget)
+            if word:
                 pairs.add((state, word))
-            return _eval(state, word, algebra, budget)
+            serving.append(state)
+            try:
+                return _eval(state, word, algebra, budget)
+            finally:
+                serving.pop()
 
         _eval.cache_clear()
         monkeypatch.setattr(states, "weingarten_histogram", counted_build)
         monkeypatch.setattr(states, "_eval", counted_eval)
         lambda_sequence(problem.objective, problem.algebra, problem.subset,
                         problem.state_family(), 3)
-        # one build per (state, class), each serving all of the state's dims
+        # one build per (state, charge-0 class), serving all of the state's
+        # dims; at order 1 every charge-0 class is the unit, so psi_1 (one
+        # dim) builds none
         assert len(builds) == len(pairs)
-        assert sorted(set(builds)) == [1, 2, 3]
-        assert sum(builds) > len(builds)
+        assert all(points == dims for points, dims in builds)
+        assert sorted({points for points, _ in builds}) == [2, 3]
+        assert sum(points for points, _ in builds) > len(builds)
