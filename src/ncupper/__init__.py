@@ -12,9 +12,10 @@ from .haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
 from .hierarchy import (HierarchyReport, MomentMatrix, PencilReport,
                         eta_sequence, lambda_sequence, max_shift,
                         moment_matrix, scalar_moments)
-from .states import (CanonicalTrace, Combination, FreeProductState, HaarTrace,
-                     StateSpec, TensorProductState, evaluate_poly,
-                     evaluate_state, evaluate_sums, make_increasing)
+from .states import (CanonicalTrace, Combination, Evaluator,
+                     FreeProductState, HaarTrace, StateSpec,
+                     TensorProductState, evaluate_poly, evaluate_state,
+                     make_increasing)
 from .symcomb import character, content_product, partitions, weingarten
 
 __all__ = [
@@ -26,8 +27,8 @@ __all__ = [
     "HierarchyReport", "MomentMatrix", "PencilReport",
     "eta_sequence", "lambda_sequence", "max_shift", "moment_matrix",
     "scalar_moments",
-    "CanonicalTrace", "Combination", "FreeProductState", "HaarTrace",
-    "StateSpec", "TensorProductState", "evaluate_poly", "evaluate_state",
-    "evaluate_sums", "make_increasing",
+    "CanonicalTrace", "Combination", "Evaluator", "FreeProductState",
+    "HaarTrace", "StateSpec", "TensorProductState", "evaluate_poly",
+    "evaluate_state", "make_increasing",
     "character", "content_product", "partitions", "weingarten",
 ]

@@ -32,8 +32,12 @@ RationalLike = Union[int, str, Fraction]
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints and 'p/q' strings to Fraction."""
-    if isinstance(x, (Fraction, int, str)):
+    """Coerce ints and 'p/q' or decimal strings to Fraction. A bool is not a
+    number here, and exponent notation is refused: Fraction('1e100000000')
+    would build a 10^8-digit integer."""
+    if isinstance(x, str) and "e" in x.lower():
+        raise InputError(f"no exponent notation in a rational: {x!r}")
+    if isinstance(x, (Fraction, int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise InputError(f"not a rational: {x!r}")
 

@@ -32,7 +32,7 @@ from .haar import DEFAULT_BUDGET, exact_trace_moment, mc_trace_moment
 from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
 from .problems import (ProblemFile, parse_problem, parse_word_tokens,
                        serialize_problem)
-from .states import evaluate_state, trace_atoms
+from .states import Evaluator, evaluate_state, trace_atoms
 from .symcomb import partitions_within, weingarten_table
 
 
@@ -156,17 +156,21 @@ def _input_hash(problem: ProblemFile, flags: dict) -> str:
 
 def run_solve(args) -> dict:
     problem = parse_problem(args.problem)
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(args.out) or ".")):
+        raise InputError(f"--out {args.out} is a directory or lies in a "
+                         f"missing one")
     hierarchy = args.hierarchy or problem.hierarchy
     d_max = args.order or max(problem.orders)
     family = problem.state_family(args.dims)
+    ev = Evaluator(problem.algebra, args.budget)  # shared by lambda and eta
     lam_rep = eta_rep = None
     if hierarchy in ("lambda", "both"):
-        lam_rep = lambda_sequence(problem.objective, problem.algebra,
-                                  problem.subset, family, d_max,
-                                  tol=args.tol, budget=args.budget)
+        lam_rep = lambda_sequence(problem.objective, ev, problem.subset,
+                                  family, d_max, tol=args.tol)
     if hierarchy in ("eta", "both"):
-        eta_rep = eta_sequence(problem.objective, problem.algebra, family,
-                               d_max, tol=args.tol, budget=args.budget)
+        eta_rep = eta_sequence(problem.objective, ev, family, d_max,
+                               tol=args.tol)
 
     flags = {"order": d_max, "hierarchy": hierarchy,
              "dims": args.dims, "tol": args.tol, "budget": args.budget,
@@ -198,8 +202,12 @@ def run_solve(args) -> dict:
 
     machine = json.dumps(record, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(machine)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(machine)
+        except OSError as e:
+            raise InputError(f"cannot write --out {args.out}: {e.strerror}"
+                             ) from e
     if args.format == "machine":
         sys.stdout.write(machine)
     else:

@@ -49,14 +49,14 @@ enumerated. The budget counts k! per block symbol and (k!)^2 per plain
 symbol, after this pruning, once per build however many points it serves.
 
 Memo. The engine keeps no memo: every build enumerates, so every build
-checks its budget. The one moment memo is ``states._eval``, keyed on
-(state, tracial class, algebra, budget). The tracial class
+checks its budget. The one moment memo is a ``states.Evaluator``'s, made
+per run and keyed on (state, tracial class). The tracial class
 (``algebra.tracial_class``: cyclic cancellation and rotation within each
 tensor factor, and the adjoint) keeps the value of every real tracial state,
 and tr w depends only on the class of w under rotation and adjoint (the
 constants being real diagonal), so a class has one moment, and each class
-reaches this engine once per Haar trace or combination of them, algebra and
-budget, already cyclically reduced: a memo here would never be hit.
+reaches this engine once per Haar trace or combination of them in a run,
+already cyclically reduced: a memo here would never be hit.
 
 Word check. ``weingarten_histogram``, at each of its points, and the Monte
 Carlo oracle ``mc_trace_moments`` check a word through one helper
@@ -331,16 +331,13 @@ def read_histogram(hist: Histogram, dim: int,
 
 
 def _loop_value(loop: tuple[str, ...], dim: int, rs: Mapping[str, int]) -> int:
-    """Sum over index values of the product of the signs of the loop's
-    constants; a loop with no constants gives dim."""
-    s = 0
-    for i in range(dim):
-        prod = 1
-        for name in loop:
-            if i >= rs[name]:
-                prod = -prod
-        s += prod
-    return s
+    """Sum over index values i < dim of the product of the signs of the
+    loop's constants, in closed form: with the loop's r sorted, r_1 <= ...
+    <= r_m, r_0 = 0 and r_{m+1} = dim, the product is (-1)^k on
+    r_k <= i < r_{k+1}. A loop with no constants gives dim."""
+    cuts = [0, *sorted(rs[name] for name in loop), dim]
+    return sum((-1) ** k * (cuts[k + 1] - cuts[k])
+               for k in range(len(loop) + 1))
 
 
 def exact_trace_moment(word: Sequence[Atom], dim: int,

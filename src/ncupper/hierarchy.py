@@ -8,7 +8,9 @@ eigenvalue of a self-adjoint polynomial:
   * eta_d: same pencil on the Hankel matrices of the scalar moments of f.
 Each sequence builds only its exact pencil at order d; the one loop
 ``_orders`` times, solves and records every order. Moment entries are exact
-rationals; floats appear only in the eigensolve.
+rationals from the run's ``states.Evaluator``, which holds the algebra, the
+budget and the memo that lambda and eta share; floats appear only in the
+eigensolve.
 
 Only words of unitary charge 0 (``algebra.charge``) are evaluated, since
 every state is 0 on the others (the charge rule of ``states``): cell (u, v)
@@ -31,12 +33,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, NCPolynomial, Word, charge,
-                      is_self_adjoint, multiply, star_word, words_up_to)
+from .algebra import (NCPolynomial, Word, charge, is_self_adjoint, multiply,
+                      star_word, words_up_to)
 from .errors import (BudgetExceededError, IndefiniteBError, InputError,
                      KernelViolationError)
-from .haar import DEFAULT_BUDGET
-from .states import StateSpec, can_evaluate, evaluate_sums
+from .states import Evaluator, StateSpec
 
 DEFAULT_TOL = 1e-9
 WORD_BUDGET = 10 ** 6
@@ -82,10 +83,9 @@ StateFamily = Callable[[int], StateSpec]
 
 
 def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
-                  algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET
-                  ) -> MomentMatrix:
+                  ev: Evaluator) -> MomentMatrix:
     """M(f) = [phi(u* f v)] over the basis words, exact and symmetric."""
-    if not is_self_adjoint(f, algebra):
+    if not is_self_adjoint(f, ev.algebra):
         raise InputError("moment_matrix requires f = f*")
     basis = list(basis)
     if len(set(basis)) != len(basis):
@@ -96,7 +96,7 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
             f"moment matrix needs {words} word evaluations, over "
             f"{WORD_BUDGET}")
     # psi(u* t v) = 0 unless charge(v) = charge(u) - charge(t)
-    grade = _grader(state, [*basis, *f.terms], algebra)
+    grade = _grader(state, [*basis, *f.terms], ev)
     charges = [grade(u) for u in basis]
     columns: dict[tuple[int, ...], list[int]] = {}  # charge -> j, increasing
     for j, q in enumerate(charges):
@@ -110,9 +110,8 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
             js = columns.get(tuple(a - b for a, b in zip(qu, qt)), ())
             cells += ((i, j, ts) for j in js[bisect_left(js, i):])
     adjoints = [star_word(u) for u in basis]
-    values = evaluate_sums(state, (
-        ((adjoints[i] + w + basis[j], c) for w, c in ts)
-        for i, j, ts in cells), algebra, budget)
+    values = ev.sums(state, (((adjoints[i] + w + basis[j], c) for w, c in ts)
+                             for i, j, ts in cells))
     entries = [[Fraction(0)] * n for _ in range(n)]
     for (i, j, _), v in zip(cells, values):
         entries[i][j] = entries[j][i] = v
@@ -120,37 +119,35 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
 
 
 def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
-                   algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET
-                   ) -> list[Fraction]:
+                   ev: Evaluator) -> list[Fraction]:
     """[phi(f^0), ..., phi(f^max_power)], exact."""
-    if not is_self_adjoint(f, algebra):
+    if not is_self_adjoint(f, ev.algebra):
         raise InputError("scalar_moments requires f = f*")
 
-    grade = _grader(state, f.terms, algebra)
+    grade = _grader(state, f.terms, ev)
 
     def powers():  # each built after the previous one is evaluated
         power = NCPolynomial.one()
         yield power.terms.items()
         for _ in range(max_power):
             # built in full, as the next power needs every term
-            power = multiply(power, f, algebra)
+            power = multiply(power, f, ev.algebra)
             if len(power.terms) > WORD_BUDGET:
                 raise BudgetExceededError(
                     f"support of f^k exceeded {WORD_BUDGET} words")
             yield ((w, c) for w, c in power.terms.items()
                    if not any(grade(w)))
-    return evaluate_sums(state, powers(), algebra, budget)
+    return ev.sums(state, powers())
 
 
-def _grader(state: StateSpec, words: Sequence[Word], algebra: AlgebraSpec
+def _grader(state: StateSpec, words: Sequence[Word], ev: Evaluator
             ) -> Callable[[Word], tuple[int, ...]]:
     """``algebra.charge`` when the state can evaluate words over all the
     generators of the given words, and so every word built from them. Else
     the charge () of every word: then all words are evaluated, and the one
     the state refuses raises as it would without grading."""
-    if can_evaluate(state, frozenset(l.gen for w in words for l in w),
-                    algebra):
-        return lambda w: charge(w, algebra)
+    if ev.can_evaluate(state, frozenset(l.gen for w in words for l in w)):
+        return lambda w: charge(w, ev.algebra)
     return lambda w: ()
 
 
@@ -192,30 +189,26 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
                         kernel_residual=kernel_residual)
 
 
-def lambda_sequence(f: NCPolynomial, algebra: AlgebraSpec,
-                    subset: Sequence[str], state_family: StateFamily,
-                    d_max: int, tol: float = DEFAULT_TOL,
-                    budget: int = DEFAULT_BUDGET) -> HierarchyReport:
+def lambda_sequence(f: NCPolynomial, ev: Evaluator, subset: Sequence[str],
+                    state_family: StateFamily, d_max: int,
+                    tol: float = DEFAULT_TOL) -> HierarchyReport:
     """lambda_d for d = 1..d_max: pencil of M_{G,d}(f) against M_{G,d}(1)
     under the order-d state."""
     def pencil(d: int):
-        basis = words_up_to(algebra, subset, d)
+        basis = words_up_to(ev.algebra, subset, d)
         psi = state_family(d)
-        A = moment_matrix(f, psi, basis, algebra, budget).entries
-        B = moment_matrix(NCPolynomial.one(), psi, basis, algebra,
-                          budget).entries
+        A = moment_matrix(f, psi, basis, ev).entries
+        B = moment_matrix(NCPolynomial.one(), psi, basis, ev).entries
         return A, B, _sha16(_rows_source(A) + "|" + _rows_source(B))
     return _orders(pencil, "lam", d_max, tol)
 
 
-def eta_sequence(f: NCPolynomial, algebra: AlgebraSpec,
-                 state_family: StateFamily, d_max: int,
-                 tol: float = DEFAULT_TOL,
-                 budget: int = DEFAULT_BUDGET) -> HierarchyReport:
+def eta_sequence(f: NCPolynomial, ev: Evaluator, state_family: StateFamily,
+                 d_max: int, tol: float = DEFAULT_TOL) -> HierarchyReport:
     """eta_d for d = 1..d_max: Hankel pencil (phi(f^{i+j+1})) against
     (phi(f^{i+j})), i, j = 0..d, under the order-d state."""
     def pencil(d: int):
-        m = scalar_moments(f, state_family(d), 2 * d + 1, algebra, budget)
+        m = scalar_moments(f, state_family(d), 2 * d + 1, ev)
         A = [[m[i + j + 1] for j in range(d + 1)] for i in range(d + 1)]
         B = [[m[i + j] for j in range(d + 1)] for i in range(d + 1)]
         return A, B, _sha16(_rows_source(A)) + "|" + _sha16(_rows_source(B))

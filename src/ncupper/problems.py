@@ -175,7 +175,7 @@ def parse_problem(path: str | Path) -> ProblemFile:
         raise InputError(f"cannot read problem file {path}: {e}") from e
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # an over-long int, deep nesting
         raise InputError(f"problem file {path} is not valid JSON: {e}") from e
     return parse_problem_dict(data)
 

@@ -23,9 +23,10 @@ each unitary generator u: Haar measure is, a word that reduces to 1 has net
 exponent 0 in every generator, and combinations, tensor and free products
 keep the invariance. So psi(w) = 0 unless ``algebra.charge(w)`` is 0, and
 ``hierarchy`` skips such words; a state that breaks this charge
-rule must opt out as well. ``_eval`` is the one memo, so a combination
-builds one histogram per class, and its budget counts the configurations
-once for all of its dims. Whether a state can evaluate a word (one
+rule must opt out as well. The one memo is an ``Evaluator``'s, made per run
+for one algebra and budget, so a combination builds one histogram per class
+in a run, and its budget counts the configurations once for all of its
+dims; no memo outlives the run. Whether a state can evaluate a word (one
 generator kind per Haar trace, a free product covering every generator) is
 checked on the canonical word before reduction: ``u b u*`` is refused, its
 class ``b`` not.
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Sequence, Union
 
@@ -91,56 +91,142 @@ StateSpec = Union[CanonicalTrace, HaarTrace, Combination, TensorProductState,
 
 def evaluate_state(state: StateSpec, word: Word, algebra: AlgebraSpec,
                    budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact value of the state on any word; the one-term evaluate_sums."""
-    return evaluate_sums(state, [[(word, 1)]], algebra, budget)[0]
+    """Exact value of the state on any word, by a fresh Evaluator."""
+    return Evaluator(algebra, budget).sums(state, [[(word, 1)]])[0]
 
 
 def evaluate_poly(state: StateSpec, p: NCPolynomial, algebra: AlgebraSpec,
                   budget: int = DEFAULT_BUDGET) -> Fraction:
-    return evaluate_sums(state, [p.terms.items()], algebra, budget)[0]
+    return Evaluator(algebra, budget).sums(state, [p.terms.items()])[0]
 
 
-def evaluate_sums(state: StateSpec,
-                  sums: Iterable[Iterable[tuple[Word, Fraction]]],
-                  algebra: AlgebraSpec,
-                  budget: int = DEFAULT_BUDGET) -> list[Fraction]:
-    """Exact sum of c * psi(w) over each iterable of (word, c) terms, in order.
-    Every word is canonicalized and checked, then reduced to its tracial
-    class; each new class is evaluated once by ``_eval``, the one moment
-    memo, on (state, class, algebra, budget) for the process. Each sum is
-    added in integers by ``exact_sum``."""
-    values: dict[Word, Fraction] = {}  # canonical word (or class) -> psi
-    checked = set()
-    out = []
-    for terms in sums:
-        products = []  # c * psi(w) as (numerator, denominator)
-        for w, c in terms:
-            w = canonicalize(w, algebra)
-            if w not in values:
-                if (gens := frozenset(l.gen for l in w)) not in checked:
-                    _check(state, gens, algebra)
-                    checked.add(gens)
-                # a class has a subset of w's generators, so it passes too
-                cls = tracial_class(w, algebra)
-                if cls not in values:
-                    values[cls] = _eval(state, cls, algebra, budget)
-                values[w] = values[cls]
-            v = values[w]
-            products.append((c.numerator * v.numerator,
-                             c.denominator * v.denominator))
-        out.append(exact_sum(products))
-    return out
+class Evaluator:
+    """State values of one run: one algebra, one Weingarten budget. Per
+    state it keeps canonical word and tracial class -> value, and the
+    generator sets already checked, for as long as it lives: one solve, so
+    that eta reuses the classes lambda evaluated."""
 
+    def __init__(self, algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET):
+        self.algebra = algebra
+        self.budget = budget
+        self._values: dict[StateSpec, dict[Word, Fraction]] = {}
+        self._checked: dict[StateSpec, set[frozenset]] = {}
 
-def can_evaluate(state: StateSpec, gens: frozenset,
-                 algebra: AlgebraSpec) -> bool:
-    """Whether the state can evaluate words over gens. A set it refuses is
-    refused within every larger set too."""
-    try:
-        _check(state, gens, algebra)
-    except InputError:
-        return False
-    return True
+    def sums(self, state: StateSpec,
+             sums: Iterable[Iterable[tuple[Word, Fraction]]]
+             ) -> list[Fraction]:
+        """Exact sum of c * psi(w) over each iterable of (word, c) terms, in
+        order. Every word is canonicalized; a new one is checked, then
+        reduced to its tracial class, and a new class is evaluated once by
+        ``_eval``. Each sum is added in integers by ``exact_sum``."""
+        algebra = self.algebra
+        values = self._values.setdefault(state, {})
+        checked = self._checked.setdefault(state, set())
+        out = []
+        for terms in sums:
+            products = []  # c * psi(w) as (numerator, denominator)
+            for w, c in terms:
+                w = canonicalize(w, algebra)
+                if w not in values:
+                    if (gens := frozenset(l.gen for l in w)) not in checked:
+                        _check(state, gens, algebra)
+                        checked.add(gens)
+                    # a class has a subset of w's generators, so it passes too
+                    values[w] = self._value(state, tracial_class(w, algebra))
+                v = values[w]
+                products.append((c.numerator * v.numerator,
+                                 c.denominator * v.denominator))
+            out.append(exact_sum(products))
+        return out
+
+    def can_evaluate(self, state: StateSpec, gens: frozenset) -> bool:
+        """Whether the state can evaluate words over gens. A set it refuses
+        is refused within every larger set too."""
+        try:
+            _check(state, gens, self.algebra)
+        except InputError:
+            return False
+        return True
+
+    def _value(self, state: StateSpec, word: Word) -> Fraction:
+        # psi of a checked word, canonical factor by factor: memo or _eval
+        values = self._values.setdefault(state, {})
+        if word not in values:
+            values[word] = self._eval(state, word)
+        return values[word]
+
+    def _eval(self, state: StateSpec, word: Word) -> Fraction:
+        if isinstance(state, CanonicalTrace):
+            return Fraction(0) if word else Fraction(1)
+        if isinstance(state, HaarTrace):
+            return self._eval_haar(state, word)
+        if isinstance(state, Combination):
+            # the Haar terms read one histogram; any other term recurses
+            haar = [(w, s.dim) for w, s in state.terms
+                    if isinstance(s, HaarTrace)]
+            value = sum((w * self._value(s, word) for w, s in state.terms
+                         if not isinstance(s, HaarTrace)), Fraction(0))
+            if haar:
+                values = self._eval_haar_dims([d for _, d in haar], word)
+                value += exact_sum((w.numerator * v.numerator,
+                                    w.denominator * v.denominator)
+                                   for (w, _), v in zip(haar, values))
+            return value
+        if isinstance(state, TensorProductState):
+            return self._eval_tensor(state, word)
+        return self._eval_free(state, word)
+
+    def _eval_haar(self, state: HaarTrace, word: Word) -> Fraction:
+        if not word:
+            return Fraction(1)
+        atoms, [(n, constants)] = _haar_points(word, self.algebra,
+                                               [state.dim])
+        return exact_trace_moment(atoms, n, constants, self.budget) / n
+
+    def _eval_haar_dims(self, dims: list[int], word: Word) -> list[Fraction]:
+        """HaarTrace(dim) of a word for each dim, read from one histogram."""
+        if not word:
+            return [Fraction(1)] * len(dims)
+        atoms, points = _haar_points(word, self.algebra, dims)
+        hist = weingarten_histogram(atoms, points, self.budget)
+        return [read_histogram(hist, n, c) / n for n, c in points]
+
+    def _eval_tensor(self, state: TensorProductState, word: Word) -> Fraction:
+        value = Fraction(1)
+        for tag, s in sorted(dict(state.factors).items()):
+            value *= self._value(s, tuple(
+                l for l in word if self.algebra.generator(l.gen).factor == tag))
+        return value
+
+    def _eval_free(self, state: FreeProductState, word: Word) -> Fraction:
+        comp_of = {g: ci for ci, (gens, _) in enumerate(state.components)
+                   for g in gens}
+        blocks = tuple((ci, NCPolynomial.from_word(tuple(run)))
+                       for ci, run in groupby(word,
+                                              key=lambda l: comp_of[l.gen]))
+
+        def walk(prefix: tuple, rest: tuple) -> Fraction:
+            # prefix: centered alternating blocks; phi of a fully centered
+            # alternating product vanishes by definition of the free product
+            if not rest:
+                return Fraction(1) if not prefix else Fraction(0)
+            ci, p = rest[0]
+            m = self.sums(state.components[ci][1], [p.terms.items()])[0]
+            centered = p - NCPolynomial.scalar(m)
+            total = Fraction(0)
+            if not centered.is_zero:
+                total += walk(prefix + ((ci, centered),), rest[1:])
+            if m != 0:
+                tail = rest[1:]
+                if prefix and tail and prefix[-1][0] == tail[0][0]:
+                    pci, pp = prefix[-1]
+                    merged = multiply(pp, tail[0][1], self.algebra)
+                    total += m * walk(prefix[:-1], ((pci, merged),) + tail[1:])
+                else:
+                    total += m * walk(prefix, tail)
+            return total
+
+        return walk((), blocks)
 
 
 def _check(state: StateSpec, gens: frozenset, algebra: AlgebraSpec) -> None:
@@ -173,50 +259,6 @@ def _check(state: StateSpec, gens: frozenset, algebra: AlgebraSpec) -> None:
         raise InputError(f"unknown state variant {state!r}")
 
 
-@lru_cache(maxsize=None)
-def _eval(state: StateSpec, word: Word, algebra: AlgebraSpec,
-          budget: int) -> Fraction:
-    # word is a checked class representative, canonical factor by factor
-    if isinstance(state, CanonicalTrace):
-        return Fraction(0) if word else Fraction(1)
-    if isinstance(state, HaarTrace):
-        return _eval_haar(state, word, algebra, budget)
-    if isinstance(state, Combination):
-        # the Haar terms read one histogram; any other term recurses
-        haar = [(w, s.dim) for w, s in state.terms if isinstance(s, HaarTrace)]
-        value = sum((w * _eval(s, word, algebra, budget)
-                     for w, s in state.terms if not isinstance(s, HaarTrace)),
-                    Fraction(0))
-        if haar:
-            values = _eval_haar_dims([d for _, d in haar], word, algebra,
-                                     budget)
-            value += exact_sum((w.numerator * v.numerator,
-                                w.denominator * v.denominator)
-                               for (w, _), v in zip(haar, values))
-        return value
-    if isinstance(state, TensorProductState):
-        return _eval_tensor(state, word, algebra, budget)
-    return _eval_free(state, word, algebra, budget)
-
-
-def _eval_haar(state: HaarTrace, word: Word, algebra: AlgebraSpec,
-               budget: int) -> Fraction:
-    if not word:
-        return Fraction(1)
-    atoms, [(n, constants)] = _haar_points(word, algebra, [state.dim])
-    return exact_trace_moment(atoms, n, constants, budget) / n
-
-
-def _eval_haar_dims(dims: list[int], word: Word, algebra: AlgebraSpec,
-                    budget: int) -> list[Fraction]:
-    """HaarTrace(dim) of a word for each dim, read from one histogram."""
-    if not word:
-        return [Fraction(1)] * len(dims)
-    atoms, points = _haar_points(word, algebra, dims)
-    hist = weingarten_histogram(atoms, points, budget)
-    return [read_histogram(hist, n, c) / n for n, c in points]
-
-
 def _haar_points(word: Word, algebra: AlgebraSpec, dims: Sequence[int]
                  ) -> tuple[list[Atom], list[tuple[int, dict]]]:
     """The Haar trace word of a non-empty word of one generator kind, and
@@ -247,47 +289,6 @@ def trace_atoms(word: Word, algebra: AlgebraSpec, dim: int
     if any(isinstance(a, ConstantAtom) for a in atoms):
         return atoms, {"D": SignatureMatrix(dim, dim // 2)}
     return atoms, {}
-
-
-def _eval_tensor(state: TensorProductState, word: Word, algebra: AlgebraSpec,
-                 budget: int) -> Fraction:
-    value = Fraction(1)
-    for tag, s in sorted(dict(state.factors).items()):
-        sub = tuple(l for l in word if algebra.generator(l.gen).factor == tag)
-        value *= _eval(s, sub, algebra, budget)
-    return value
-
-
-def _eval_free(state: FreeProductState, word: Word, algebra: AlgebraSpec,
-               budget: int) -> Fraction:
-    comp_of = {g: ci for ci, (gens, _) in enumerate(state.components)
-               for g in gens}
-    blocks = tuple((ci, NCPolynomial.from_word(tuple(run)))
-                   for ci, run in groupby(word,
-                                          key=lambda l: comp_of[l.gen]))
-
-    def walk(prefix: tuple, rest: tuple) -> Fraction:
-        # prefix: centered alternating blocks; phi of a fully centered
-        # alternating product vanishes by definition of the free product
-        if not rest:
-            return Fraction(1) if not prefix else Fraction(0)
-        ci, p = rest[0]
-        m = evaluate_poly(state.components[ci][1], p, algebra, budget)
-        centered = p - NCPolynomial.scalar(m)
-        total = Fraction(0)
-        if not centered.is_zero:
-            total += walk(prefix + ((ci, centered),), rest[1:])
-        if m != 0:
-            tail = rest[1:]
-            if prefix and tail and prefix[-1][0] == tail[0][0]:
-                pci, pp = prefix[-1]
-                merged = multiply(pp, tail[0][1], algebra)
-                total += m * walk(prefix[:-1], ((pci, merged),) + tail[1:])
-            else:
-                total += m * walk(prefix, tail)
-        return total
-
-    return walk((), blocks)
 
 
 def make_increasing(base: Sequence[StateSpec]) -> list[Combination]:

@@ -18,8 +18,8 @@ from ncupper.haar import (ConstantAtom, SignatureMatrix, UnitaryAtom,
                           exact_trace_moment, mc_trace_moments)
 from ncupper.hierarchy import eta_sequence, lambda_sequence
 from ncupper.problems import bundled_problem_path, parse_problem
-from ncupper.states import (CanonicalTrace, FreeProductState, HaarTrace,
-                            TensorProductState, evaluate_state,
+from ncupper.states import (CanonicalTrace, Evaluator, FreeProductState,
+                            HaarTrace, TensorProductState, evaluate_state,
                             make_increasing)
 from ncupper.symcomb import compose, cycle_type, inverse, weingarten
 
@@ -55,8 +55,9 @@ def reflection():
 @pytest.fixture(scope="module")
 def chsh_reports(chsh):
     fam = chsh.state_family()
-    lam = lambda_sequence(chsh.objective, chsh.algebra, chsh.subset, fam, 2)
-    eta = eta_sequence(chsh.objective, chsh.algebra, fam, 2)
+    ev = Evaluator(chsh.algebra)
+    lam = lambda_sequence(chsh.objective, ev, chsh.subset, fam, 2)
+    eta = eta_sequence(chsh.objective, ev, fam, 2)
     return lam, eta
 
 
@@ -86,9 +87,9 @@ def test_criterion_3_monotone_valid(chsh, reflection, chsh_reports):
     for rec in eta.orders:
         assert rec.eta >= -0.2072 - 1e-6
     fam = reflection.state_family()
-    lamr = lambda_sequence(reflection.objective, reflection.algebra, ["b"],
-                           fam, 2)
-    etar = eta_sequence(reflection.objective, reflection.algebra, fam, 2)
+    ev = Evaluator(reflection.algebra)
+    lamr = lambda_sequence(reflection.objective, ev, ["b"], fam, 2)
+    etar = eta_sequence(reflection.objective, ev, fam, 2)
     assert lamr.orders[1].lam <= lamr.orders[0].lam + 1e-8
     assert etar.orders[1].eta <= etar.orders[0].eta + 1e-8
     for rec in lamr.orders:
@@ -100,9 +101,9 @@ def test_criterion_3_monotone_valid(chsh, reflection, chsh_reports):
 @_report(4, "reflection exact at order 1")
 def test_criterion_4_reflection_exact(reflection):
     fam = reflection.state_family()
-    lam = lambda_sequence(reflection.objective, reflection.algebra, ["b"],
-                          fam, 1)
-    eta = eta_sequence(reflection.objective, reflection.algebra, fam, 1)
+    ev = Evaluator(reflection.algebra)
+    lam = lambda_sequence(reflection.objective, ev, ["b"], fam, 1)
+    eta = eta_sequence(reflection.objective, ev, fam, 1)
     assert abs(lam.orders[0].lam - (-1.0)) <= 1e-10
     assert abs(eta.orders[0].eta - (-1.0)) <= 1e-10
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncupper import cli
 from ncupper.algebra import word_str
 from ncupper.cli import main
 from ncupper.problems import (bundled_problem_path, parse_problem,
@@ -316,15 +317,59 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: dims takes integers only, not 1.9"]
 
-    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory", "huge-int",
+                                      "deep-nesting"])
     def test_unreadable_problem_exit_2(self, tmp_path, capsys, kind):
         path = tmp_path / "bad.problem"
         if kind == "directory":
             path.mkdir()
+        elif kind == "huge-int":  # over Python's 4,300-digit int limit
+            path.write_text('{"orders": [' + "1" * 4301 + "]}")
+        elif kind == "deep-nesting":
+            path.write_text("[" * 100_000 + "]" * 100_000)
         else:
             path.write_bytes(b"\xff\xfe{}")
         assert main(["solve", str(path), "--order", "1"]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("coefficient", True), ("weight", True),
+        ("coefficient", "1e100000000"), ("coefficient", "1e10000000"),
+        ("weight", "1E0")])
+    def test_bool_or_exponent_rational_exit_2(self, tmp_path, capsys,
+                                              field, value):
+        # true would read as 1, and Fraction("1e100000000") runs for more
+        # than 30 s before it fails
+        data = json.loads(bundled_problem_path("reflection").read_text())
+        if field == "coefficient":
+            data["objective"][0]["coefficient"] = value
+        else:
+            data["state"] = {"kind": "combination", "terms": [
+                {"weight": value, "state": {"kind": "canonical-trace"}}]}
+        path = tmp_path / "bad.problem"
+        path.write_text(json.dumps(data))
+        start = time.monotonic()
+        assert main(["solve", str(path), "--order", "1"]) == 2
+        assert time.monotonic() - start < 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("kind", ["missing-dir", "directory",
+                                      "file-as-dir", "write-fails"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch,
+                                   kind):
+        out = {"missing-dir": tmp_path / "nope" / "out.json",
+               "directory": tmp_path,
+               "file-as-dir": tmp_path / "file" / "out.json",
+               "write-fails": tmp_path / "out.json"}[kind]
+        (tmp_path / "file").write_text("")
+        if kind == "write-fails":
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+            monkeypatch.setattr(cli, "open", refuse, raising=False)
+        assert main(["solve", str(bundled_problem_path("reflection")),
+                     "--order", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
 
     @pytest.mark.parametrize("flag", [("--threads", "2"), ("--samples", "5")])
     def test_removed_solve_flags_exit_2(self, flag):
@@ -382,8 +427,8 @@ class TestSolveCommand:
         assert capsys.readouterr().err == ""
 
     def test_budget_honoured_after_cached_solve(self, capsys):
-        # the moments of the first run are memoized; the second run must
-        # still be refused under its smaller budget
+        # the moments of the first run die with its evaluator; the second
+        # run must be refused under its smaller budget
         chsh = str(bundled_problem_path("chsh"))
         assert main(["solve", chsh, "--order", "2"]) == 0
         assert main(["solve", chsh, "--order", "2", "--budget", "1"]) == 3

@@ -295,6 +295,33 @@ class TestHistogramExactness:
                 _oracle_exact(word, n, consts)
 
 
+def _brute_loop_value(loop, dim, rs):
+    """Sum over index values of the product of the signs of the loop's
+    constants, index by index."""
+    s = 0
+    for i in range(dim):
+        prod = 1
+        for name in loop:
+            if i >= rs[name]:
+                prod = -prod
+        s += prod
+    return s
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_loop_value_closed_form(dim):
+    # every loop of <= 4 names from 4 constants (a name may repeat), at
+    # every r of each constant
+    names = "ABCD"
+    for m in range(5):
+        for loop in itertools.combinations_with_replacement(names, m):
+            used = sorted(set(loop))
+            for r in itertools.product(range(dim + 1), repeat=len(used)):
+                rs = dict(zip(used, r))
+                assert haar._loop_value(loop, dim, rs) == \
+                    _brute_loop_value(loop, dim, rs), (loop, dim, rs)
+
+
 class TestBlockCollapse:
     """The engine sums U D U* block symbols over sigma only; the joint
     (sigma, tau) oracle must agree exactly."""

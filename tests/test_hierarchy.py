@@ -15,7 +15,7 @@ from ncupper.hierarchy import (eta_sequence, lambda_sequence, max_shift,
                                moment_matrix, scalar_moments)
 from ncupper.problems import bundled_problem_path, parse_problem
 from ncupper.states import (CanonicalTrace, FreeProductState, HaarTrace,
-                            evaluate_poly, evaluate_sums)
+                            Evaluator, evaluate_poly)
 
 
 @pytest.fixture(scope="module")
@@ -32,20 +32,20 @@ class TestMomentMatrix:
     def test_unit_objective_is_psd_gram(self, chsh):
         basis = words_up_to(chsh.algebra, chsh.subset, 1)
         m = moment_matrix(NCPolynomial.one(), chsh.state_family()(1), basis,
-                          chsh.algebra)
+                          Evaluator(chsh.algebra))
         eigs = np.linalg.eigvalsh(m.to_float())
         assert eigs[0] >= -1e-9
 
     def test_reflection_hand_value(self, reflection):
         basis = words_up_to(reflection.algebra, ["b"], 1)
         m = moment_matrix(reflection.objective, HaarTrace(1), basis,
-                          reflection.algebra)
+                          Evaluator(reflection.algebra))
         assert m.entries == [[0, 1], [1, 0]]
 
     def test_exact_symmetry(self, chsh):
         basis = words_up_to(chsh.algebra, chsh.subset, 2)
         m = moment_matrix(chsh.objective, chsh.state_family()(2), basis,
-                          chsh.algebra)
+                          Evaluator(chsh.algebra))
         for i in range(m.dim):
             for j in range(m.dim):
                 assert m.entries[i][j] == m.entries[j][i]
@@ -57,7 +57,7 @@ class TestMomentMatrix:
         with pytest.raises(InputError):
             moment_matrix(f, chsh.state_family()(1),
                           words_up_to(chsh.algebra, chsh.subset, 1),
-                          chsh.algebra)
+                          Evaluator(chsh.algebra))
 
     def test_word_budget_refuses_before_evaluating(self):
         # free-unitaries order 6: 1,457 basis words, so n(n+1)/2 cells of
@@ -67,7 +67,7 @@ class TestMomentMatrix:
         start = time.monotonic()
         with pytest.raises(BudgetExceededError, match="4248612 word"):
             moment_matrix(problem.objective, problem.state_family()(6), basis,
-                          problem.algebra)
+                          Evaluator(problem.algebra))
         assert time.monotonic() - start < 1
 
     def test_word_budget_boundary(self, chsh, monkeypatch):
@@ -79,11 +79,11 @@ class TestMomentMatrix:
         basis = words_up_to(chsh.algebra, chsh.subset, 1)
         monkeypatch.setattr(hierarchy, "WORD_BUDGET", 75)
         moment_matrix(chsh.objective, chsh.state_family()(1), basis,
-                      chsh.algebra)
+                      Evaluator(chsh.algebra))
         monkeypatch.setattr(hierarchy, "WORD_BUDGET", 74)
         with pytest.raises(BudgetExceededError):
             moment_matrix(chsh.objective, chsh.state_family()(1), basis,
-                          chsh.algebra)
+                          Evaluator(chsh.algebra))
 
     def test_chsh_entries_vs_monte_carlo(self, chsh):
         # MC oracle of the tensored size-2 reflection model for every
@@ -91,7 +91,8 @@ class TestMomentMatrix:
         from ncupper.haar import haar_sample
         basis = words_up_to(chsh.algebra, chsh.subset, 1)
         state = chsh.state_family()(1)
-        m = moment_matrix(chsh.objective, state, basis, chsh.algebra)
+        m = moment_matrix(chsh.objective, state, basis,
+                          Evaluator(chsh.algebra))
         rng = np.random.default_rng(7)
         samples = 60000
         sig = np.diag([1.0, -1.0]).astype(complex)
@@ -136,15 +137,15 @@ class TestMomentMatrix:
             basis = words_up_to(algebra, problem.subset, 2)
             psi = problem.state_family()(2)
             seen = []
-            _eval = states._eval
+            _eval = states.Evaluator._eval
 
-            def counted(state, word, algebra, budget):
+            def counted(self, state, word):
                 if state is psi:  # not the recursion into psi's parts
                     seen.append(word)
-                return _eval(state, word, algebra, budget)
+                return _eval(self, state, word)
 
-            monkeypatch.setattr(states, "_eval", counted)
-            m = moment_matrix(f, psi, basis, algebra)
+            monkeypatch.setattr(states.Evaluator, "_eval", counted)
+            m = moment_matrix(f, psi, basis, Evaluator(algebra))
             words = [canonicalize(star_word(u) + w + v, algebra)
                      for u in basis for v in basis for w in f.terms]
             classes = {tracial_class(x, algebra) for x in words
@@ -153,7 +154,7 @@ class TestMomentMatrix:
                                        for x in words}), name
             assert len(seen) == len(set(seen)) == len(classes), name
             assert set(seen) == classes, name
-            monkeypatch.setattr(states, "_eval", _eval)
+            monkeypatch.setattr(states.Evaluator, "_eval", _eval)
             # the entries are those of the polynomial products u* f v with
             # every term evaluated
             for i, u in enumerate(basis):
@@ -177,14 +178,15 @@ class TestChargeGrading:
         sums = [[(star_word(basis[i]) + w + basis[j], c)
                  for w, c in f.terms.items()] for i, j in cells]
         entries = [[None] * len(basis) for _ in basis]
-        for (i, j), v in zip(cells, evaluate_sums(state, sums, algebra)):
+        ev = Evaluator(algebra)
+        for (i, j), v in zip(cells, ev.sums(state, sums)):
             entries[i][j] = entries[j][i] = v
         skipped = [w for terms in sums for w, _ in terms
                    if any(charge(w, algebra))]
         assert skipped
-        assert set(evaluate_sums(state, [[(w, 1)] for w in skipped],
-                                 algebra)) == {0}
-        assert moment_matrix(f, state, basis, algebra).entries == entries
+        assert set(ev.sums(state, [[(w, 1)] for w in skipped])) == {0}
+        assert moment_matrix(f, state, basis,
+                             Evaluator(algebra)).entries == entries
 
     def _assert_powers_graded(self, f, state, max_power, algebra):
         power, want, dropped = NCPolynomial.one(), [], []
@@ -193,9 +195,9 @@ class TestChargeGrading:
             dropped += [w for w in power.terms if any(charge(w, algebra))]
             power = multiply(power, f, algebra)
         assert dropped
-        assert set(evaluate_sums(state, [[(w, 1)] for w in dropped],
-                                 algebra)) == {0}
-        assert scalar_moments(f, state, max_power, algebra) == want
+        assert set(Evaluator(algebra).sums(
+            state, [[(w, 1)] for w in dropped])) == {0}
+        assert scalar_moments(f, state, max_power, Evaluator(algebra)) == want
 
     @pytest.mark.parametrize("name", ["free-unitaries", "commutator-example"])
     def test_bundled_lambda_order3(self, name):
@@ -245,34 +247,35 @@ class TestChargeGrading:
         f = g1 + star(g1, algebra)
         with pytest.raises(InputError, match=message):
             moment_matrix(f, state, words_up_to(algebra, ["g1", "g2"], 1),
-                          algebra)
+                          Evaluator(algebra))
         with pytest.raises(InputError, match=message):  # g1 g2 in f^2
-            scalar_moments(f + g2 + star(g2, algebra), state, 2, algebra)
+            scalar_moments(f + g2 + star(g2, algebra), state, 2,
+                           Evaluator(algebra))
 
 
 class TestScalarMoments:
     def test_unit_moment(self, chsh):
         m = scalar_moments(chsh.objective, chsh.state_family()(1), 0,
-                           chsh.algebra)
+                           Evaluator(chsh.algebra))
         assert m == [1]
 
     def test_reflection_alternating(self, reflection):
         m = scalar_moments(reflection.objective, HaarTrace(1), 5,
-                           reflection.algebra)
+                           Evaluator(reflection.algebra))
         assert m == [1, 0, 1, 0, 1, 0]
 
     def test_chsh_first_moment(self, chsh):
         # every CHSH term has a degree-1 letter in each factor, so the
         # factorized state kills it; the affine offset survives
         m = scalar_moments(chsh.objective, chsh.state_family()(1), 1,
-                           chsh.algebra)
+                           Evaluator(chsh.algebra))
         assert m[1] == Fraction(1, 2)
 
     def test_matches_powers(self, chsh):
         from ncupper.algebra import multiply
         from ncupper.states import evaluate_poly
         psi = chsh.state_family()(2)
-        got = scalar_moments(chsh.objective, psi, 5, chsh.algebra)
+        got = scalar_moments(chsh.objective, psi, 5, Evaluator(chsh.algebra))
         power = NCPolynomial.one()
         for k in range(6):
             assert got[k] == evaluate_poly(psi, power, chsh.algebra)
@@ -282,7 +285,7 @@ class TestScalarMoments:
         monkeypatch.setattr(hierarchy, "WORD_BUDGET", 3)
         with pytest.raises(BudgetExceededError):
             scalar_moments(chsh.objective, chsh.state_family()(1), 5,
-                           chsh.algebra)
+                           Evaluator(chsh.algebra))
 
 
 class TestMaxShift:
@@ -318,16 +321,17 @@ class TestMaxShift:
 class TestSequences:
     def test_reflection_order1_exact(self, reflection):
         fam = reflection.state_family()
-        lam = lambda_sequence(reflection.objective, reflection.algebra,
-                              ["b"], fam, 1)
-        eta = eta_sequence(reflection.objective, reflection.algebra, fam, 1)
+        ev = Evaluator(reflection.algebra)
+        lam = lambda_sequence(reflection.objective, ev, ["b"], fam, 1)
+        eta = eta_sequence(reflection.objective, ev, fam, 1)
         assert lam.orders[0].lam == pytest.approx(-1.0, abs=1e-10)
         assert eta.orders[0].eta == pytest.approx(-1.0, abs=1e-10)
 
     def test_chsh_reference_values(self, chsh):
         fam = chsh.state_family()
-        lam = lambda_sequence(chsh.objective, chsh.algebra, chsh.subset, fam, 2)
-        eta = eta_sequence(chsh.objective, chsh.algebra, fam, 2)
+        ev = Evaluator(chsh.algebra)
+        lam = lambda_sequence(chsh.objective, ev, chsh.subset, fam, 2)
+        eta = eta_sequence(chsh.objective, ev, fam, 2)
         assert lam.orders[0].lam == pytest.approx(0.146, abs=0.005)
         assert lam.orders[1].lam == pytest.approx(-0.016, abs=0.005)
         assert eta.orders[0].eta == pytest.approx(0.0, abs=0.005)
@@ -336,8 +340,9 @@ class TestSequences:
     def test_monotone_and_above_fmin(self, chsh, reflection):
         fmin_chsh = (1 - 2 ** 0.5) / 2
         fam = chsh.state_family()
-        lam = lambda_sequence(chsh.objective, chsh.algebra, chsh.subset, fam, 2)
-        eta = eta_sequence(chsh.objective, chsh.algebra, fam, 2)
+        ev = Evaluator(chsh.algebra)
+        lam = lambda_sequence(chsh.objective, ev, chsh.subset, fam, 2)
+        eta = eta_sequence(chsh.objective, ev, fam, 2)
         assert lam.orders[1].lam <= lam.orders[0].lam + 1e-8
         assert eta.orders[1].eta <= eta.orders[0].eta + 1e-8
         for rec in lam.orders:
@@ -345,9 +350,9 @@ class TestSequences:
         for rec in eta.orders:
             assert rec.eta >= fmin_chsh - 1e-6
         famr = reflection.state_family()
-        lamr = lambda_sequence(reflection.objective, reflection.algebra,
-                               ["b"], famr, 2)
-        etar = eta_sequence(reflection.objective, reflection.algebra, famr, 2)
+        ev = Evaluator(reflection.algebra)
+        lamr = lambda_sequence(reflection.objective, ev, ["b"], famr, 2)
+        etar = eta_sequence(reflection.objective, ev, famr, 2)
         assert lamr.orders[1].lam <= lamr.orders[0].lam + 1e-8
         assert etar.orders[1].eta <= etar.orders[0].eta + 1e-8
         for rec in lamr.orders:
@@ -359,26 +364,27 @@ class TestSequences:
         state = chsh.state_family()(1)
         basis = words_up_to(chsh.algebra, chsh.subset, 1)
         rng = random.Random(23)
+        ev = Evaluator(chsh.algebra)
         ref = max_shift(
-            moment_matrix(chsh.objective, state, basis, chsh.algebra).to_float(),
-            moment_matrix(NCPolynomial.one(), state, basis, chsh.algebra).to_float(),
+            moment_matrix(chsh.objective, state, basis, ev).to_float(),
+            moment_matrix(NCPolynomial.one(), state, basis, ev).to_float(),
         ).lam
         for _ in range(5):
             shuffled = basis[:]
             rng.shuffle(shuffled)
             lam = max_shift(
-                moment_matrix(chsh.objective, state, shuffled,
-                              chsh.algebra).to_float(),
+                moment_matrix(chsh.objective, state, shuffled, ev).to_float(),
                 moment_matrix(NCPolynomial.one(), state, shuffled,
-                              chsh.algebra).to_float(),
+                              ev).to_float(),
             ).lam
             assert lam == pytest.approx(ref, abs=1e-10)
 
     def test_kernel_containment(self, chsh):
         state = chsh.state_family()(2)
         basis = words_up_to(chsh.algebra, chsh.subset, 2)
-        A = moment_matrix(chsh.objective, state, basis, chsh.algebra).to_float()
-        B = moment_matrix(NCPolynomial.one(), state, basis, chsh.algebra).to_float()
+        ev = Evaluator(chsh.algebra)
+        A = moment_matrix(chsh.objective, state, basis, ev).to_float()
+        B = moment_matrix(NCPolynomial.one(), state, basis, ev).to_float()
         rep = max_shift(A, B)
         assert rep.kernel_residual <= 1e-8 * max(np.linalg.norm(A, 2), 1.0)
 
@@ -387,11 +393,12 @@ class TestSequences:
         for prob, subset in ((chsh, chsh.subset), (reflection, ["b"])):
             fam = prob.state_family()
             shifted = prob.objective + NCPolynomial.scalar(c)
-            lam0 = lambda_sequence(prob.objective, prob.algebra, subset, fam, 1)
-            lam1 = lambda_sequence(shifted, prob.algebra, subset, fam, 1)
+            ev = Evaluator(prob.algebra)
+            lam0 = lambda_sequence(prob.objective, ev, subset, fam, 1)
+            lam1 = lambda_sequence(shifted, ev, subset, fam, 1)
             assert lam1.orders[0].lam == pytest.approx(
                 lam0.orders[0].lam + float(c), abs=1e-10)
-            eta0 = eta_sequence(prob.objective, prob.algebra, fam, 1)
-            eta1 = eta_sequence(shifted, prob.algebra, fam, 1)
+            eta0 = eta_sequence(prob.objective, ev, fam, 1)
+            eta1 = eta_sequence(shifted, ev, fam, 1)
             assert eta1.orders[0].eta == pytest.approx(
                 eta0.orders[0].eta + float(c), abs=1e-10)

@@ -10,12 +10,12 @@ from ncupper.algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial,
                              Word, canonicalize, charge, star, star_word,
                              tracial_class, word_str, words_up_to)
 from ncupper.errors import InputError
-from ncupper.haar import DEFAULT_BUDGET, haar_sample
+from ncupper.haar import haar_sample
 from ncupper.hierarchy import moment_matrix
 from ncupper.problems import bundled_problem_path, parse_problem
-from ncupper.states import (CanonicalTrace, Combination, FreeProductState,
-                            HaarTrace, TensorProductState, evaluate_state,
-                            evaluate_sums, make_increasing)
+from ncupper.states import (CanonicalTrace, Combination, Evaluator,
+                            FreeProductState, HaarTrace, TensorProductState,
+                            evaluate_state, make_increasing)
 
 
 def w(algebra, text):
@@ -280,11 +280,11 @@ class TestClassReductionKeepsErrors:
         # refused even when the batch meets the class first through b
         one = Fraction(1)
         with pytest.raises(InputError):
-            evaluate_sums(HaarTrace(1), [[(w(algebra, "b"), one)],
-                                         [(word, one)]], algebra)
+            Evaluator(algebra).sums(HaarTrace(1), [[(w(algebra, "b"), one)],
+                                                   [(word, one)]])
         with pytest.raises(InputError):  # the only entry is u* b u
             moment_matrix(NCPolynomial.from_word(w(algebra, "b")),
-                          HaarTrace(1), [w(algebra, "u")], algebra)
+                          HaarTrace(1), [w(algebra, "u")], Evaluator(algebra))
         assert evaluate_state(HaarTrace(1), w(algebra, "b"), algebra) == 0
 
     def test_uncovered_generator_under_conjugation(self, unitary_algebra):
@@ -295,8 +295,8 @@ class TestClassReductionKeepsErrors:
             evaluate_state(state, word, unitary_algebra)
         one = Fraction(1)
         with pytest.raises(InputError):
-            evaluate_sums(state, [[(w(unitary_algebra, "u1"), one),
-                                   (word, one)]], unitary_algebra)
+            Evaluator(unitary_algebra).sums(
+                state, [[(w(unitary_algebra, "u1"), one), (word, one)]])
         assert evaluate_state(state, w(unitary_algebra, "u1"),
                               unitary_algebra) == 0
 
@@ -355,7 +355,7 @@ class TestTracialClass:
 
 def _raw_value(state, word, algebra):
     """The state on the canonical word itself, bypassing the class memo."""
-    return states._eval.__wrapped__(state, word, algebra, DEFAULT_BUDGET)
+    return Evaluator(algebra)._eval(state, word)
 
 
 def _assert_class_keyed(state, algebra, max_len):
@@ -406,12 +406,11 @@ class TestCombinationHistogram:
                              (Fraction(1, 2), HaarTrace(3))))
         classes = {tracial_class(u, algebra)
                    for u in words_up_to(algebra, ids, 8)}
+        ev = Evaluator(algebra)
         for state in (psi, mixed):
             for cls in classes:
-                want = sum(wt * states._eval(s, cls, algebra, DEFAULT_BUDGET)
-                           for wt, s in state.terms)
-                assert states._eval(state, cls, algebra,
-                                    DEFAULT_BUDGET) == want, word_str(cls)
+                want = sum(wt * ev._eval(s, cls) for wt, s in state.terms)
+                assert ev._eval(state, cls) == want, word_str(cls)
 
     def test_one_histogram_per_state_and_class(self, monkeypatch):
         from ncupper.hierarchy import lambda_sequence
@@ -419,29 +418,28 @@ class TestCombinationHistogram:
         builds = []  # (points of the build, dims of the state it serves)
         build = states.weingarten_histogram
         pairs = set()
-        _eval = states._eval
+        _eval = states.Evaluator._eval
         serving = []  # the combinations being evaluated, innermost last
 
         def counted_build(word, points, budget):
             builds.append((len(points), len(serving[-1].terms)))
             return build(word, points, budget)
 
-        def counted_eval(state, word, algebra, budget):
+        def counted_eval(self, state, word):
             if not isinstance(state, Combination):
-                return _eval(state, word, algebra, budget)
+                return _eval(self, state, word)
             if word:
                 pairs.add((state, word))
             serving.append(state)
             try:
-                return _eval(state, word, algebra, budget)
+                return _eval(self, state, word)
             finally:
                 serving.pop()
 
-        _eval.cache_clear()
         monkeypatch.setattr(states, "weingarten_histogram", counted_build)
-        monkeypatch.setattr(states, "_eval", counted_eval)
-        lambda_sequence(problem.objective, problem.algebra, problem.subset,
-                        problem.state_family(), 3)
+        monkeypatch.setattr(states.Evaluator, "_eval", counted_eval)
+        lambda_sequence(problem.objective, Evaluator(problem.algebra),
+                        problem.subset, problem.state_family(), 3)
         # one build per (state, charge-0 class), serving all of the state's
         # dims; at order 1 every charge-0 class is the unit, so psi_1 (one
         # dim) builds none
@@ -449,3 +447,67 @@ class TestCombinationHistogram:
         assert all(points == dims for points, dims in builds)
         assert sorted({points for points, _ in builds}) == [2, 3]
         assert sum(points for points, _ in builds) > len(builds)
+
+
+class TestRunScopedEvaluator:
+    """One Evaluator per solve: lambda and eta share its memo, and nothing
+    of it outlives the run."""
+
+    def _solve_pairs(self, monkeypatch, capsys, hierarchy):
+        """The (state, word) pairs that reach Evaluator._eval in one chsh
+        order-3 solve, in call order."""
+        from ncupper import cli
+        pairs = []
+        _eval = states.Evaluator._eval
+
+        def counted(self, state, word):
+            pairs.append((state, word))
+            return _eval(self, state, word)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(states.Evaluator, "_eval", counted)
+            assert cli.main(["solve", str(bundled_problem_path("chsh")),
+                             "--order", "3", "--hierarchy", hierarchy,
+                             "--format", "machine"]) == 0
+        capsys.readouterr()
+        return pairs
+
+    def test_each_pair_evaluated_once_across_lambda_and_eta(
+            self, monkeypatch, capsys):
+        both = self._solve_pairs(monkeypatch, capsys, "both")
+        assert len(both) == len(set(both)) == 102
+        lam = self._solve_pairs(monkeypatch, capsys, "lambda")
+        eta = self._solve_pairs(monkeypatch, capsys, "eta")
+        # eta reuses the classes lambda evaluated at the same order
+        assert set(both) == set(lam) | set(eta)
+        assert len(both) < len(lam) + len(eta)
+
+    def test_solve_leaves_no_memo(self, monkeypatch, capsys):
+        import functools
+        import sys
+        import weakref
+        from ncupper import cli
+        made = []
+
+        class Recorded(Evaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(cli, "Evaluator", Recorded)
+        assert cli.main(["solve", str(bundled_problem_path("chsh")),
+                         "--order", "2"]) == 0
+        capsys.readouterr()
+        assert len(made) == 1 and made[0]() is None
+        # the module that defines each lru_cache any ncupper module or class
+        # holds; haar and the package import symcomb's tables by name
+        lru = type(functools.lru_cache()(lambda: None))
+        owners = set()
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "ncupper" or module is None:
+                continue
+            for value in vars(module).values():
+                inner = vars(value).values() if isinstance(value, type) else ()
+                owners |= {v.__module__ for v in (value, *inner)
+                           if isinstance(v, lru)}
+        assert owners == {"ncupper.symcomb"}
