@@ -62,26 +62,34 @@ Word check. ``weingarten_histogram``, at each of its points, and the Monte
 Carlo oracle ``mc_trace_moments`` check a word through one helper
 (dim >= 1, a non-empty word, known constants of size dim).
 
-Monte Carlo. ``mc_trace_moments`` draws one batch of Haar unitaries per
-symbol and chunk and transposes it once into a (dim, dim, n) array, the
-sample axis last and contiguous. It then walks the distinct words in sorted
-order as a prefix trie over their resolved atoms: a word starts from the
-deepest kept product of a prefix it shares with the word before it,
-multiplies in all but its last atom, and takes the trace of the product with
-that atom without forming it. Each product is one einsum over the matrix
-indices whose inner loop runs along the samples. NumPy's einsum never calls
-BLAS, while a stacked (n, dim, dim) matmul calls it once per matrix, so this
-layout is faster only at small dims: on the criterion-6 word sets (2-core
-x86 VM, OpenBLAS 0.3.31) mc_trace_moments took 0.40 of the matmul layout's
-time at dim 3 and 0.77 at dim 5, the same at dim 6, and 1.4, 2.3 and 4.4
-times it at dims 8, 16 and 32. The trace is one real einsum over float
-views of the two factors, where each sample's real and imaginary parts sit
-side by side (for a last U* no conjugate is copied). A prefix product stays
-alive only while a later word in the sorted order starts from it, and never
-when its last atom is a constant: a constant is a diagonal +-1 matrix, so
-multiplying by it is an exact column scaling that costs less to redo than
-the memory to keep. The sample stream and the per-word sums do not depend on
-the order of the words.
+Monte Carlo. ``mc_trace_moments`` first maps each word to its class
+(``_mc_class``). Per sample, tr w stays the same when u u*, u* u or two
+equal constants cancel, also around the cycle (U U* = I and D^2 = I), when w
+rotates, and, for the real part, when w is replaced by its adjoint. So one
+estimate serves a class, and a word whose class is empty is the identity,
+with estimate exactly dim and stderr 0. The reduction is the oracle's own
+and uses none of ``algebra``'s class code, so that criterion 6 checks one
+against the other. It draws one batch of Haar unitaries per symbol of the
+words as given and per chunk, so the sample stream depends only on the seed
+and that set of symbols, and transposes each batch once into a (dim, dim, n)
+array, the sample axis last and contiguous. It then walks the distinct
+non-empty classes in sorted order as a prefix trie over their resolved
+atoms: a class starts from the deepest kept product of a prefix it shares
+with the class before it, multiplies in all but its last atom, and takes the
+trace of the product with that atom without forming it. Each product is one
+einsum over the matrix indices whose inner loop runs along the samples.
+NumPy's einsum never calls BLAS, while a stacked (n, dim, dim) matmul calls
+it once per matrix, so this layout is faster only at small dims: on the
+criterion-6 word sets (2-core x86 VM, OpenBLAS 0.3.31) mc_trace_moments took
+0.40 of the matmul layout's time at dim 3 and 0.77 at dim 5, the same at dim
+6, and 1.4, 2.3 and 4.4 times it at dims 8, 16 and 32. The trace is one real
+einsum over float views of the two factors, where each sample's real and
+imaginary parts sit side by side (for a last U* no conjugate is copied). A
+prefix product stays alive only while a later class in the sorted order
+starts from it, and never when its last atom is a constant: a constant is a
+diagonal +-1 matrix, so multiplying by it is an exact column scaling that
+costs less to redo than the memory to keep. The sample stream and the
+per-class sums do not depend on the order of the words.
 """
 
 from __future__ import annotations
@@ -367,20 +375,24 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
                      constants: Mapping[str, SignatureMatrix] | None = None,
                      samples: int = 10 ** 5, seed: int = 0,
                      budget: int = DEFAULT_BUDGET) -> list[tuple[float, float]]:
-    """Monte Carlo (estimate, stderr) of tr w for several words sharing one
-    Haar sample stream, drawn _MC_CHUNK unitaries per symbol at a time.
-    Deterministic given the seed. The budget caps the complex entries held
-    at once: min(samples, _MC_CHUNK) dim^2 per chunk array, for one array of
-    samples per Haar symbol, the most prefix products the trie keeps at
-    once, and _MC_SPARE arrays that a draw or a product holds on top."""
+    """Monte Carlo (estimate, stderr) of the real part of tr w for several
+    words sharing one Haar sample stream, drawn _MC_CHUNK unitaries per
+    symbol of the words at a time. Deterministic given the seed and the
+    words' symbols. Words of one class (``_mc_class``) share one estimate;
+    a word whose class is empty gets exactly (dim, 0.0). The budget caps the
+    complex entries held at once: min(samples, _MC_CHUNK) dim^2 per chunk
+    array, for one array of samples per Haar symbol of the words as given,
+    the most prefix products the trie over the classes keeps at once, and
+    _MC_SPARE arrays that a draw or a product holds on top."""
     if samples < 2:
         raise InputError("need samples >= 2")
     if seed < 0:
         raise InputError("seed must be >= 0")
     words = [_checked_atoms(w, dim, constants) for w in words]
-    order = sorted(set(words))
+    classes = [_mc_class(w) for w in words]
+    order = sorted(set(classes) - {()})
     kept = _reused_depths(order)
-    symbols = sorted({a[1] for w in order for a in w if a[0] == "u"})
+    symbols = sorted({a[1] for w in words for a in w if a[0] == "u"})
     arrays = len(symbols) + max(map(len, kept), default=0) + _MC_SPARE
     entries = min(samples, _MC_CHUNK) * dim * dim * arrays
     if entries > budget:
@@ -408,19 +420,45 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
             sums[wi] += tr.sum()
             sqsums[wi] += (tr * tr).sum()
         done += n
-    stats = {}
+    stats = {(): (float(dim), 0.0)}
     for wi, w in enumerate(order):
         mean = sums[wi] / samples
         var = max(sqsums[wi] / samples - mean * mean, 0.0)
         stderr = np.sqrt(var / (samples - 1))
         stats[w] = (float(mean), float(stderr))
-    return [stats[w] for w in words]
+    return [stats[c] for c in classes]
+
+
+def _mc_class(atoms: tuple) -> tuple:
+    """The class of a resolved word that tr w keeps per sample: u u*, u* u
+    and two equal constants (D^2 = I) cancel, also around the cycle, and the
+    least rotation of the word or of its adjoint, which has the same real
+    trace, stands for the class. The identity is the empty tuple."""
+    reduced = []
+    for a in atoms:
+        if reduced and reduced[-1] == _mc_inverse(a):
+            reduced.pop()
+        else:
+            reduced.append(a)
+    i, j = 0, len(reduced)
+    while j - i > 1 and reduced[i] == _mc_inverse(reduced[j - 1]):
+        i, j = i + 1, j - 1
+    w = tuple(reduced[i:j])
+    adjoint = tuple(_mc_inverse(a) for a in reversed(w))
+    return min((v[k:] + v[:k] for v in (w, adjoint) for k in range(len(v))),
+               default=())
+
+
+def _mc_inverse(atom: tuple) -> tuple:
+    """The inverse of a resolved atom, which is also its adjoint: U* for U
+    and the constant itself for a signature matrix."""
+    return ("u", atom[1], not atom[2]) if atom[0] == "u" else atom
 
 
 def _mc_word_traces(order: list[tuple], kept: list[set[int]], us: dict,
                     diags: dict, eye: np.ndarray):
-    """Real part of tr w per sample of one chunk, for each word of order in
-    turn, walking the words as a prefix trie; the stack holds the kept
+    """Real part of tr w per sample of one chunk, for each class w of order
+    in turn, walking the classes as a prefix trie; the stack holds the kept
     prefix products, and all of them are freed when the walk ends."""
     stack = []  # (depth, product of that prefix), depths increasing
     for w, keep in zip(order, kept):

@@ -619,6 +619,15 @@ class TestOtherCommands:
                     "b1 b2", "--dim", "2", "--samples", "5000")
         assert r.returncode == 0
 
+    def test_mc_check_conjugate_word_is_exact(self, capsys):
+        # b1 b2 b1 is conjugate to b2, whose trace tr D is 0 at dim 2 on
+        # every sample, so its estimate carries no round-off
+        assert main(["mc-check", str(bundled_problem_path("chsh")),
+                     "b1 b2 b1", "--dim", "2", "--samples", "1000"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == "monte-carlo: 0 +- 0 (1000 samples, seed 0)"
+        assert out[3] == "deviation  : 0 (0 sigma)"
+
     def test_mc_check_and_state_share_trace_atoms(self, capsys):
         # chsh's order-2 state is HaarTrace(2) on each factor, whose letters
         # are 4 x 4 conjugated signatures: its value is the dim-4 trace / 4

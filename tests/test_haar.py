@@ -450,7 +450,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(haar, "_MC_CHUNK", 50)
         consts = {"D": SignatureMatrix(3, 1)}
         cases = [([[U("a"), D("D"), U("b", True)], [U("a", True)]], 2 + 0),
-                 # a b a and a b b keep their common prefix a b
+                 # a b a and a b b are the classes a a b and a b b, which
+                 # keep their common prefix a
                  ([[U("a"), U("b"), U("a")], [U("a"), U("b"), U("b")]], 2 + 1)]
         for words, arrays in cases:
             arrays += haar._MC_SPARE
@@ -548,6 +549,13 @@ def _trie_words():
     ]
 
 
+def _random_class_word(rng, max_len):
+    """A random word over a, a*, b*, b, D and E of length 1 to max_len,
+    with many adjacent and cyclic cancellations."""
+    letters = [U("a"), U("a", True), U("b"), U("b", True), D("D"), D("E")]
+    return [rng.choice(letters) for _ in range(rng.randrange(1, max_len + 1))]
+
+
 def _trie_constants(dim):
     return {"D": SignatureMatrix(dim, dim // 2), "E": SignatureMatrix(dim, dim)}
 
@@ -584,13 +592,68 @@ class TestMonteCarloTrie:
             assert np.array(got).tobytes() == \
                 np.array([base[i] for i in perm]).tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_classes_match_per_word_products(self, monkeypatch, dim):
+        # random words cancel, rotate and reverse into shared classes; each
+        # class estimate must equal every one of its words' own products
+        monkeypatch.setattr(haar, "_MC_CHUNK", 700)
+        rng = random.Random(dim)
+        words = [_random_class_word(rng, 10) for _ in range(80)]
+        consts = _trie_constants(dim)
+        got = mc_trace_moments(words, dim, consts, samples=2000, seed=dim)
+        want = _oracle_mc(words, dim, consts, samples=2000, seed=dim)
+        for word, (m, e), (m0, e0) in zip(words, got, want):
+            assert abs(m - m0) <= 1e-12, word
+            assert abs(e - e0) <= 1e-9, word
+
+    def test_class_invariance(self):
+        # rotation, the adjoint, and u u*, u* u or D D inserted at any
+        # cyclic position leave the class unchanged
+        rng = random.Random(5)
+        consts = _trie_constants(3)
+        pairs = [[U(s, x), U(s, not x)] for s in "ab" for x in (False, True)]
+        pairs += [[D(c), D(c)] for c in "DE"]
+
+        def cls(word):
+            return haar._mc_class(haar._checked_atoms(word, 3, consts))
+
+        for _ in range(100):
+            word = _random_class_word(rng, 8)
+            c = cls(word)
+            adjoint = [U(x.symbol, not x.star) if isinstance(x, U) else x
+                       for x in reversed(word)]
+            assert cls(adjoint) == c, word
+            for k in range(len(word)):
+                assert cls(word[k:] + word[:k]) == c, (word, k)
+                for pair in pairs:
+                    assert cls(word[:k] + pair + word[k:]) == c, (word, pair)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_identity_class_is_exact(self, dim):
+        a, a_, b, b_ = U("a"), U("a", True), U("b"), U("b", True)
+        words = [[a, b, b_, a_], conj_sig("a") * 2,
+                 [D("E"), a_, D("D"), D("D"), a, D("E")],
+                 [b_, D("D"), a, a_, D("D"), b]]
+        results = mc_trace_moments(words, dim, _trie_constants(dim),
+                                   samples=50, seed=2)
+        assert results == [(float(dim), 0.0)] * len(words)
+
     def test_peak_memory(self):
-        # the 30 signature words at dim 3 share prefixes 12 atoms deep; only
-        # the products a later word starts from may stay alive
+        # the 30 signature words at dim 3 fall into 3 classes; the deep
+        # words are cyclically reduced, pairwise inequivalent and share
+        # prefixes at least 8 atoms deep. Only the products a later class
+        # starts from may stay alive.
         dim, samples = 3, 10 ** 4
-        words = [[x for s in seq for x in conj_sig(s)] for n in range(1, 5)
-                 for seq in itertools.product("ab", repeat=n)]
+        signature = [[x for s in seq for x in conj_sig(s)]
+                     for n in range(1, 5)
+                     for seq in itertools.product("ab", repeat=n)]
+        a, b = U("a"), U("b")
+        deep = [[a] * 4 + [b, a, b, b, *tail, b] for n in range(5)
+                for tail in itertools.product([a, b], repeat=n)]
+        words = signature + deep
         consts = {"D": SignatureMatrix(dim, dim // 2)}
+        assert len({haar._mc_class(haar._checked_atoms(w, dim, consts))
+                    for w in deep}) >= 20
         mc_trace_moments(words, dim, consts, samples=10, seed=0)
         tracemalloc.start()
         try:
