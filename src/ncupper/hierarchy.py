@@ -15,9 +15,11 @@ eigensolve.
 Only words of unitary charge 0 (``algebra.charge``) are evaluated, since
 every state is 0 on the others (the charge rule of ``states``): cell (u, v)
 of M(f) sums the terms t of f with charge(t) = charge(u) - charge(v), and a
-cell with none is 0; eta evaluates the charge-0 terms of each f^k, though
-f^k is built in full for the next power. ``WORD_BUDGET`` still counts every
-(cell, term) pair, n(n+1)/2 * |f|, before this filter. A state that cannot
+cell with none is 0; eta evaluates the charge-0 terms of each f^k, and
+builds f^k only from the terms of f^(k-1) that the remaining factors of f
+can still bring back to charge 0. ``WORD_BUDGET`` still counts every
+(cell, term) pair of a moment matrix, n(n+1)/2 * |f|, before this filter,
+and for eta the terms of each power as built. A state that cannot
 evaluate words over every generator of the basis and f gets every word, so
 that a word it refuses raises at any order.
 """
@@ -126,17 +128,26 @@ def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
 
     grade = _grader(state, f.terms, ev)
 
+    def size(w: Word) -> int:  # |charge(w)|_1
+        return sum(map(abs, grade(w)))
+    step = max(map(size, f.terms), default=0)  # most one factor of f moves
+
     def powers():  # each built after the previous one is evaluated
-        power = NCPolynomial.one()
+        power, sizes = NCPolynomial.one(), {(): 0}
         yield power.terms.items()
-        for _ in range(max_power):
-            # built in full, as the next power needs every term
+        for k in range(1, max_power + 1):
+            if step:  # else no term of f moves the charge, and all stay
+                # a term further than the remaining factors can move it
+                # never returns to charge 0 in f^k, ..., f^max_power
+                reach = (max_power - k + 1) * step
+                power = NCPolynomial({w: c for w, c in power.terms.items()
+                                      if sizes[w] <= reach})
             power = multiply(power, f, ev.algebra)
             if len(power.terms) > WORD_BUDGET:
                 raise BudgetExceededError(
-                    f"support of f^k exceeded {WORD_BUDGET} words")
-            yield ((w, c) for w, c in power.terms.items()
-                   if not any(grade(w)))
+                    f"support of f^{k} exceeded {WORD_BUDGET} words")
+            sizes = {w: size(w) for w in power.terms}
+            yield ((w, c) for w, c in power.terms.items() if not sizes[w])
     return ev.sums(state, powers())
 
 

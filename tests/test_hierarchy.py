@@ -206,11 +206,117 @@ class TestChargeGrading:
             problem.objective, problem.state_family()(3),
             words_up_to(problem.algebra, problem.subset, 3), problem.algebra)
 
-    def test_free_unitaries_eta_to_f7(self):
+    def test_free_unitaries_eta_to_f7(self, monkeypatch):
         problem = parse_problem(bundled_problem_path("free-unitaries"))
         self._assert_powers_graded(problem.objective,
                                    problem.state_family()(3), 7,
                                    problem.algebra)
+        self._assert_pruned_exact(problem.objective,
+                                  problem.state_family()(3), 7,
+                                  problem.algebra, monkeypatch)
+
+    def _assert_pruned_exact(self, f, state, max_power, algebra,
+                             monkeypatch):
+        # the charge-0 (word, coefficient) stream scalar_moments hands to
+        # Evaluator.sums, power by power, is that of the full powers
+        handed = []
+        _sums = Evaluator.sums
+
+        def recorded(self, psi, sums):
+            def record(terms):
+                handed.append(list(terms))
+                return handed[-1]
+            if psi is state:  # not the recursion into the state's parts
+                sums = map(record, sums)
+            return _sums(self, psi, sums)
+
+        monkeypatch.setattr(Evaluator, "sums", recorded)
+        scalar_moments(f, state, max_power, Evaluator(algebra))
+        monkeypatch.setattr(Evaluator, "sums", _sums)
+        power, want = NCPolynomial.one(), []
+        for _ in range(max_power + 1):
+            want.append([(w, c) for w, c in power.terms.items()
+                         if not any(charge(w, algebra))])
+            power = multiply(power, f, algebra)
+        assert handed == want
+
+    @pytest.mark.parametrize("state", [
+        CanonicalTrace(),
+        FreeProductState(((frozenset({"u1"}), CanonicalTrace()),
+                          (frozenset({"u2"}), HaarTrace(2))))],
+        ids=["canonical", "free-product"])
+    def test_mixed_charge_pruned_powers_exact(self, unitary_algebra, state,
+                                              monkeypatch):
+        # terms of |charge|_1 0, 1, 2 and 3, so f^k keeps words of several
+        # sizes near each cut (max_power - k + 1) * 3
+        algebra = unitary_algebra
+        f = NCPolynomial.scalar(Fraction(1, 3))
+        for text in ("u1", "u2 u1", "u1 u1 u2"):
+            word = tuple(Letter(g.rstrip("*"), g.endswith("*"))
+                         for g in text.split())
+            p = NCPolynomial.from_word(word)
+            f = f + p + star(p, algebra)
+        assert {sum(map(abs, charge(w, algebra)))
+                for w in f.terms} == {0, 1, 2, 3}
+        self._assert_pruned_exact(f, state, 6, algebra, monkeypatch)
+
+    @staticmethod
+    def _multiply_operands(problem, max_power, monkeypatch):
+        # (|p|, |q|, |p q|) of every multiply scalar_moments makes
+        sizes = []
+
+        def recorded(p, q, algebra):
+            r = multiply(p, q, algebra)
+            sizes.append((len(p.terms), len(q.terms), len(r.terms)))
+            return r
+
+        monkeypatch.setattr(hierarchy, "multiply", recorded)
+        scalar_moments(problem.objective, problem.state_family()(3),
+                       max_power, Evaluator(problem.algebra))
+        monkeypatch.setattr(hierarchy, "multiply", multiply)
+        return sizes
+
+    @staticmethod
+    def _full_sizes(problem, max_power):
+        power, sizes = NCPolynomial.one(), []
+        for _ in range(max_power):
+            sizes.append(len(power.terms))
+            power = multiply(power, problem.objective, problem.algebra)
+        return sizes + [len(power.terms)]
+
+    def test_free_unitaries_powers_pruned(self, monkeypatch):
+        # f = u1 + u1* + u2 + u2*: each factor moves the charge by 1, so
+        # f^(k-1) keeps only the terms within 8 - k of charge 0
+        problem = parse_problem(bundled_problem_path("free-unitaries"))
+        sizes = self._multiply_operands(problem, 7, monkeypatch)
+        assert sizes == [(1, 4, 4), (4, 4, 13), (13, 4, 40), (40, 4, 121),
+                         (61, 4, 184), (76, 4, 253), (49, 4, 196)]
+        assert self._full_sizes(problem, 7) == [1, 4, 13, 40, 121, 364,
+                                                1093, 3280]
+
+    def test_chsh_powers_not_pruned(self, chsh, monkeypatch):
+        # no unitary generator, so no charge: every power is built in full
+        sizes = self._multiply_operands(chsh, 7, monkeypatch)
+        full = self._full_sizes(chsh, 7)
+        assert [p for p, _, _ in sizes] == full[:-1]
+        assert [r for _, _, r in sizes] == full[1:]
+
+    def test_word_budget_counts_built_power(self, monkeypatch):
+        # the full f^6 has 1,093 terms, the built one 253
+        problem = parse_problem(bundled_problem_path("free-unitaries"))
+        want = scalar_moments(problem.objective, problem.state_family()(3),
+                              7, Evaluator(problem.algebra))
+        monkeypatch.setattr(hierarchy, "WORD_BUDGET", 300)
+        assert scalar_moments(problem.objective, problem.state_family()(3),
+                              7, Evaluator(problem.algebra)) == want
+        monkeypatch.setattr(hierarchy, "WORD_BUDGET", 253)
+        scalar_moments(problem.objective, problem.state_family()(3), 7,
+                       Evaluator(problem.algebra))
+        monkeypatch.setattr(hierarchy, "WORD_BUDGET", 252)
+        with pytest.raises(BudgetExceededError,
+                           match=r"support of f\^6 exceeded 252 words"):
+            scalar_moments(problem.objective, problem.state_family()(3), 7,
+                           Evaluator(problem.algebra))
 
     @pytest.mark.parametrize("state", [
         CanonicalTrace(),
