@@ -15,13 +15,15 @@ eigensolve.
 Only words of unitary charge 0 (``algebra.charge``) are evaluated, since
 every state is 0 on the others (the charge rule of ``states``): cell (u, v)
 of M(f) sums the terms t of f with charge(t) = charge(u) - charge(v), and a
-cell with none is 0; eta evaluates the charge-0 terms of each f^k, and
-builds f^k only from the terms of f^(k-1) that the remaining factors of f
-can still bring back to charge 0. ``WORD_BUDGET`` still counts every
-(cell, term) pair of a moment matrix, n(n+1)/2 * |f|, before this filter,
-and for eta the terms of each power as built. A state that cannot
-evaluate words over every generator of the basis and f gets every word, so
-that a word it refuses raises at any order.
+cell with none is 0; eta evaluates the charge-0 terms of each f^k, built
+once per run up to K = 2 d_max + 1 and only from the terms of f^(k-1) that
+the remaining factors of f can still bring back to charge 0 by f^K, which
+gives every order the charge-0 terms of the full powers. ``WORD_BUDGET``
+still counts every (cell, term) pair of a moment matrix, n(n+1)/2 * |f|,
+before this filter, and for eta the terms of each power as built. Every
+state is checked on all the generators of the basis and f first
+(``Evaluator.check``), so one that refuses them raises before any word is
+evaluated.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import (NCPolynomial, Word, charge, is_self_adjoint, multiply,
-                      star_word, words_up_to)
+from .algebra import (AlgebraSpec, NCPolynomial, Word, charge,
+                      is_self_adjoint, multiply, star_word, words_up_to)
 from .errors import (BudgetExceededError, IndefiniteBError, InputError,
                      KernelViolationError)
 from .states import Evaluator, StateSpec
@@ -97,15 +99,15 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
         raise BudgetExceededError(
             f"moment matrix needs {words} word evaluations, over "
             f"{WORD_BUDGET}")
+    ev.check(state, [*basis, *f.terms])
     # psi(u* t v) = 0 unless charge(v) = charge(u) - charge(t)
-    grade = _grader(state, [*basis, *f.terms], ev)
-    charges = [grade(u) for u in basis]
+    charges = [charge(u, ev.algebra) for u in basis]
     columns: dict[tuple[int, ...], list[int]] = {}  # charge -> j, increasing
     for j, q in enumerate(charges):
         columns.setdefault(q, []).append(j)
     terms: dict[tuple[int, ...], list[tuple[Word, Fraction]]] = {}
     for w, c in f.terms.items():
-        terms.setdefault(grade(w), []).append((w, c))
+        terms.setdefault(charge(w, ev.algebra), []).append((w, c))
     cells = []  # (i, j, terms of f that can be nonzero in cell (i, j))
     for i, qu in enumerate(charges):
         for qt, ts in terms.items():
@@ -125,41 +127,32 @@ def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
     """[phi(f^0), ..., phi(f^max_power)], exact."""
     if not is_self_adjoint(f, ev.algebra):
         raise InputError("scalar_moments requires f = f*")
+    ev.check(state, f.terms)
+    return ev.sums(state, _charge0_powers(f, ev.algebra, max_power))
 
-    grade = _grader(state, f.terms, ev)
 
+def _charge0_powers(f: NCPolynomial, algebra: AlgebraSpec, top: int
+                    ) -> Iterator[list[tuple[Word, Fraction]]]:
+    """The charge-0 (word, c) terms of f^0, ..., f^top, each power built
+    when the previous one has been taken. f^k keeps a term of f^(k-1) only
+    within (top - k + 1) * s of charge 0, s the largest |charge|_1 of a term
+    of f: a term further away never returns to charge 0 in f^k..f^top."""
     def size(w: Word) -> int:  # |charge(w)|_1
-        return sum(map(abs, grade(w)))
+        return sum(map(abs, charge(w, algebra)))
     step = max(map(size, f.terms), default=0)  # most one factor of f moves
-
-    def powers():  # each built after the previous one is evaluated
-        power, sizes = NCPolynomial.one(), {(): 0}
-        yield power.terms.items()
-        for k in range(1, max_power + 1):
-            if step:  # else no term of f moves the charge, and all stay
-                # a term further than the remaining factors can move it
-                # never returns to charge 0 in f^k, ..., f^max_power
-                reach = (max_power - k + 1) * step
-                power = NCPolynomial({w: c for w, c in power.terms.items()
-                                      if sizes[w] <= reach})
-            power = multiply(power, f, ev.algebra)
-            if len(power.terms) > WORD_BUDGET:
-                raise BudgetExceededError(
-                    f"support of f^{k} exceeded {WORD_BUDGET} words")
-            sizes = {w: size(w) for w in power.terms}
-            yield ((w, c) for w, c in power.terms.items() if not sizes[w])
-    return ev.sums(state, powers())
-
-
-def _grader(state: StateSpec, words: Sequence[Word], ev: Evaluator
-            ) -> Callable[[Word], tuple[int, ...]]:
-    """``algebra.charge`` when the state can evaluate words over all the
-    generators of the given words, and so every word built from them. Else
-    the charge () of every word: then all words are evaluated, and the one
-    the state refuses raises as it would without grading."""
-    if ev.can_evaluate(state, frozenset(l.gen for w in words for l in w)):
-        return lambda w: charge(w, ev.algebra)
-    return lambda w: ()
+    power, sizes = NCPolynomial.one(), {(): 0}
+    yield list(power.terms.items())
+    for k in range(1, top + 1):
+        if step:  # else no term of f moves the charge, and all stay
+            reach = (top - k + 1) * step
+            power = NCPolynomial({w: c for w, c in power.terms.items()
+                                  if sizes[w] <= reach})
+        power = multiply(power, f, algebra)
+        if len(power.terms) > WORD_BUDGET:
+            raise BudgetExceededError(
+                f"support of f^{k} exceeded {WORD_BUDGET} words")
+        sizes = {w: size(w) for w in power.terms}
+        yield [(w, c) for w, c in power.terms.items() if not sizes[w]]
 
 
 def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilReport:
@@ -182,12 +175,10 @@ def max_shift(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> PencilR
         raise IndefiniteBError(f"B has eigenvalue {w[0]:.3e} < 0 beyond tol")
     thresh = tol * wmax
     keep = w > thresh
-    norm_a = float(np.linalg.norm(A, 2))
     kernel_residual = 0.0
     if not np.all(keep):
-        Z = v[:, ~keep]
-        kernel_residual = float(np.max(np.linalg.norm(A @ Z, axis=0))) if Z.size else 0.0
-        if kernel_residual > tol * max(norm_a, 1.0):
+        kernel_residual = float(np.max(np.linalg.norm(A @ v[:, ~keep], axis=0)))
+        if kernel_residual > tol * max(float(np.linalg.norm(A, 2)), 1.0):
             raise KernelViolationError(
                 f"kernel of B does not annihilate A (residual {kernel_residual:.3e})")
     if not np.any(keep):
@@ -217,9 +208,21 @@ def lambda_sequence(f: NCPolynomial, ev: Evaluator, subset: Sequence[str],
 def eta_sequence(f: NCPolynomial, ev: Evaluator, state_family: StateFamily,
                  d_max: int, tol: float = DEFAULT_TOL) -> HierarchyReport:
     """eta_d for d = 1..d_max: Hankel pencil (phi(f^{i+j+1})) against
-    (phi(f^{i+j})), i, j = 0..d, under the order-d state."""
+    (phi(f^{i+j})), i, j = 0..d, under the order-d state. The powers of f
+    are built once per run, with the reach of the highest, f^(2 d_max + 1)."""
+    if not is_self_adjoint(f, ev.algebra):
+        raise InputError("eta_sequence requires f = f*")
+    powers, built = _charge0_powers(f, ev.algebra, 2 * d_max + 1), []
+
+    def first(count: int):  # f^0..f^(count-1), each built when first taken
+        for k in range(count):
+            if k == len(built):
+                built.append(next(powers))
+            yield built[k]
+
     def pencil(d: int):
-        m = scalar_moments(f, state_family(d), 2 * d + 1, ev)
+        ev.check(psi := state_family(d), f.terms)
+        m = ev.sums(psi, first(2 * d + 2))
         A = [[m[i + j + 1] for j in range(d + 1)] for i in range(d + 1)]
         B = [[m[i + j] for j in range(d + 1)] for i in range(d + 1)]
         return A, B, _sha16(_rows_source(A)) + "|" + _sha16(_rows_source(B))

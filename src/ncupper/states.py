@@ -22,8 +22,8 @@ must opt out. Every variant is also invariant under u -> e^{i theta} u for
 each unitary generator u: Haar measure is, a word that reduces to 1 has net
 exponent 0 in every generator, and combinations, tensor and free products
 keep the invariance. So psi(w) = 0 unless ``algebra.charge(w)`` is 0, and
-``hierarchy`` skips such words; a state that breaks this charge
-rule must opt out as well. The one memo is an ``Evaluator``'s, made per run
+``hierarchy`` skips such words for every state: a state added later must
+keep this charge rule. The one memo is an ``Evaluator``'s, made per run
 for one algebra and budget, so a combination builds one histogram per class
 in a run, and its budget counts the configurations once for all of its
 dims; no memo outlives the run. Whether a state can evaluate a word (one
@@ -121,16 +121,13 @@ class Evaluator:
         ``_eval``. Each sum is added in integers by ``exact_sum``."""
         algebra = self.algebra
         values = self._values.setdefault(state, {})
-        checked = self._checked.setdefault(state, set())
         out = []
         for terms in sums:
             products = []  # c * psi(w) as (numerator, denominator)
             for w, c in terms:
                 w = canonicalize(w, algebra)
                 if w not in values:
-                    if (gens := frozenset(l.gen for l in w)) not in checked:
-                        _check(state, gens, algebra)
-                        checked.add(gens)
+                    self.check(state, [w])
                     # a class has a subset of w's generators, so it passes too
                     values[w] = self._value(state, tracial_class(w, algebra))
                 v = values[w]
@@ -139,14 +136,13 @@ class Evaluator:
             out.append(exact_sum(products))
         return out
 
-    def can_evaluate(self, state: StateSpec, gens: frozenset) -> bool:
-        """Whether the state can evaluate words over gens. A set it refuses
-        is refused within every larger set too."""
-        try:
+    def check(self, state: StateSpec, words: Iterable[Word]) -> None:
+        """Raise InputError unless the state can evaluate words over the
+        generators of the given words, and so every word built from them."""
+        gens = frozenset(l.gen for w in words for l in w)
+        if gens not in (checked := self._checked.setdefault(state, set())):
             _check(state, gens, self.algebra)
-        except InputError:
-            return False
-        return True
+            checked.add(gens)
 
     def _value(self, state: StateSpec, word: Word) -> Fraction:
         # psi of a checked word, canonical factor by factor: memo or _eval

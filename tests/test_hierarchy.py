@@ -166,6 +166,19 @@ class TestMomentMatrix:
                         psi, p, algebra), name
 
 
+def _mixed_charge_f(algebra):
+    """1/3 + u1 + u2 u1 + u1 u1 u2 + adjoints: terms of |charge|_1 0, 1, 2
+    and 3, so f^k keeps words of several sizes near each pruning cut
+    (max_power - k + 1) * 3."""
+    f = NCPolynomial.scalar(Fraction(1, 3))
+    for text in ("u1", "u2 u1", "u1 u1 u2"):
+        p = NCPolynomial.from_word(tuple(Letter(g) for g in text.split()))
+        f = f + p + star(p, algebra)
+    assert {sum(map(abs, charge(w, algebra)))
+            for w in f.terms} == {0, 1, 2, 3}
+    return f
+
+
 class TestChargeGrading:
     """moment_matrix and scalar_moments skip the words whose unitary charge
     is not zero; evaluated anyway, every skipped word is exactly 0, and the
@@ -247,18 +260,9 @@ class TestChargeGrading:
         ids=["canonical", "free-product"])
     def test_mixed_charge_pruned_powers_exact(self, unitary_algebra, state,
                                               monkeypatch):
-        # terms of |charge|_1 0, 1, 2 and 3, so f^k keeps words of several
-        # sizes near each cut (max_power - k + 1) * 3
         algebra = unitary_algebra
-        f = NCPolynomial.scalar(Fraction(1, 3))
-        for text in ("u1", "u2 u1", "u1 u1 u2"):
-            word = tuple(Letter(g.rstrip("*"), g.endswith("*"))
-                         for g in text.split())
-            p = NCPolynomial.from_word(word)
-            f = f + p + star(p, algebra)
-        assert {sum(map(abs, charge(w, algebra)))
-                for w in f.terms} == {0, 1, 2, 3}
-        self._assert_pruned_exact(f, state, 6, algebra, monkeypatch)
+        self._assert_pruned_exact(_mixed_charge_f(algebra), state, 6,
+                                  algebra, monkeypatch)
 
     @staticmethod
     def _multiply_operands(problem, max_power, monkeypatch):
@@ -357,6 +361,82 @@ class TestChargeGrading:
         with pytest.raises(InputError, match=message):  # g1 g2 in f^2
             scalar_moments(f + g2 + star(g2, algebra), state, 2,
                            Evaluator(algebra))
+
+    def test_refused_state_raises_before_any_evaluation(self, monkeypatch):
+        # no word of f = u + u* + b mixes the two kinds, nor does f^0 or f^1
+        # or the basis [()], but the state refuses the pair up front
+        algebra = AlgebraSpec((GeneratorSpec("u", "unitary"),
+                               GeneratorSpec("b", "hermitian-unitary")))
+        u, b = (NCPolynomial.from_word((Letter(g),)) for g in ("u", "b"))
+        f = u + star(u, algebra) + b
+
+        def evaluated(self, state, word):
+            raise AssertionError(f"evaluated {word}")
+
+        monkeypatch.setattr(Evaluator, "_eval", evaluated)
+        message = r"cannot evaluate kinds \['hermitian-unitary', 'unitary'\]"
+        with pytest.raises(InputError, match=message):
+            moment_matrix(f, HaarTrace(1), [()], Evaluator(algebra))
+        for max_power in (0, 1):
+            with pytest.raises(InputError, match=message):
+                scalar_moments(f, HaarTrace(1), max_power, Evaluator(algebra))
+
+
+class TestEtaPowers:
+    """eta_sequence builds f^0..f^(2 d_max + 1) once per run and hands
+    order d the first 2d + 2 of them."""
+
+    @pytest.mark.parametrize("name", ["chsh", "free-unitaries"])
+    def test_each_power_built_once(self, name, monkeypatch):
+        problem = parse_problem(bundled_problem_path(name))
+        calls = []
+
+        def counted(p, q, algebra):
+            calls.append(p)
+            return multiply(p, q, algebra)
+
+        monkeypatch.setattr(hierarchy, "multiply", counted)
+        eta_sequence(problem.objective, Evaluator(problem.algebra),
+                     problem.state_family(), 3)
+        assert len(calls) == 2 * 3 + 1
+
+    @pytest.mark.parametrize("case, d_max", [
+        ("free-unitaries", 4), ("mixed-canonical", 3),
+        ("mixed-free-product", 3)])
+    def test_hankel_moments_are_scalar_moments(self, case, d_max,
+                                                unitary_algebra, monkeypatch):
+        # the powers are pruned for f^(2 d_max + 1), wider than order d
+        # needs, and still give order d the moments scalar_moments does.
+        # The mixed f stops at d_max 3: building its f^9 takes about 20 s
+        # on a 2-core machine
+        if case == "free-unitaries":
+            problem = parse_problem(bundled_problem_path(case))
+            f, algebra = problem.objective, problem.algebra
+            family = problem.state_family()
+        else:
+            f, algebra = _mixed_charge_f(unitary_algebra), unitary_algebra
+            state = CanonicalTrace() if case == "mixed-canonical" else \
+                FreeProductState(((frozenset({"u1"}), CanonicalTrace()),
+                                  (frozenset({"u2"}), HaarTrace(2))))
+            family = lambda d: state
+        pencils = []
+        _orders = hierarchy._orders
+
+        def recorded(pencil, *args):
+            def record(d):
+                pencils.append(pencil(d))
+                return pencils[-1]
+            return _orders(record, *args)
+
+        monkeypatch.setattr(hierarchy, "_orders", recorded)
+        eta_sequence(f, Evaluator(algebra), family, d_max)
+        assert len(pencils) == d_max
+        for d, (A, B, _) in enumerate(pencils, 1):
+            m = scalar_moments(f, family(d), 2 * d + 1, Evaluator(algebra))
+            assert A == [[m[i + j + 1] for j in range(d + 1)]
+                         for i in range(d + 1)], d
+            assert B == [[m[i + j] for j in range(d + 1)]
+                         for i in range(d + 1)], d
 
 
 class TestScalarMoments:
