@@ -71,25 +71,33 @@ with estimate exactly dim and stderr 0. The reduction is the oracle's own
 and uses none of ``algebra``'s class code, so that criterion 6 checks one
 against the other. It draws one batch of Haar unitaries per symbol of the
 words as given and per chunk, so the sample stream depends only on the seed
-and that set of symbols, and transposes each batch once into a (dim, dim, n)
-array, the sample axis last and contiguous. It then walks the distinct
-non-empty classes in sorted order as a prefix trie over their resolved
-atoms: a class starts from the deepest kept product of a prefix it shares
-with the class before it, multiplies in all but its last atom, and takes the
-trace of the product with that atom without forming it. Each product is one
-einsum over the matrix indices whose inner loop runs along the samples.
-NumPy's einsum never calls BLAS, while a stacked (n, dim, dim) matmul calls
-it once per matrix, so this layout is faster only at small dims: on the
-criterion-6 word sets (2-core x86 VM, OpenBLAS 0.3.31) mc_trace_moments took
-0.40 of the matmul layout's time at dim 3 and 0.77 at dim 5, the same at dim
-6, and 1.4, 2.3 and 4.4 times it at dims 8, 16 and 32. The trace is one real
-einsum over float views of the two factors, where each sample's real and
-imaginary parts sit side by side (for a last U* no conjugate is copied). A
-prefix product stays alive only while a later class in the sorted order
-starts from it, and never when its last atom is a constant: a constant is a
-diagonal +-1 matrix, so multiplying by it is an exact column scaling that
-costs less to redo than the memory to keep. The sample stream and the
-per-class sums do not depend on the order of the words.
+and that set of symbols. ``_haar_draw`` writes each batch straight into a
+(dim, dim, n) array, the sample axis last and contiguous: the Q factor of
+complex Ginibre matrices whose R has a positive real diagonal, which is Haar
+(Mezzadri, Notices AMS 54, 2007), by two passes of classical Gram-Schmidt
+per column, which keep Q orthonormal to round-off (Giraud-Langou-Rozloznik,
+Comput. Math. Appl. 50, 2005). Its einsums, like the products', never call
+BLAS: against a stacked LAPACK QR with phase correction (2-core x86 VM, one
+BLAS thread), the draw took 0.30 of the time at dim 3 and 0.62 at dim 8,
+but 1.1 and 1.8 times it at dims 16 and 32. The oracle then walks
+the distinct non-empty classes in sorted order as a prefix trie over their
+resolved atoms: a class starts from the deepest kept product of a prefix it
+shares with the class before it, multiplies in all but its last atom, and
+takes the trace of the product with that atom without forming it. Each
+product is one einsum over the matrix indices whose inner loop runs along
+the samples. NumPy's einsum never calls BLAS, while a stacked (n, dim, dim)
+matmul calls it once per matrix, so this layout is faster only at small
+dims: on the criterion-6 word sets (2-core x86 VM, OpenBLAS 0.3.31)
+mc_trace_moments took 0.40 of the matmul layout's time at dim 3 and 0.77 at
+dim 5, the same at dim 6, and 1.4, 2.3 and 4.4 times it at dims 8, 16 and
+32. The trace is one real einsum over float views of the two factors, where
+each sample's real and imaginary parts sit side by side (for a last U* no
+conjugate is copied). A prefix product stays alive only while a later class
+in the sorted order starts from it, and never when its last atom is a
+constant: a constant is a diagonal +-1 matrix, so multiplying by it is an
+exact column scaling that costs less to redo than the memory to keep. The
+sample stream and the per-class sums do not depend on the order of the
+words.
 """
 
 from __future__ import annotations
@@ -109,9 +117,11 @@ from .symcomb import (block_weingarten, compose, cycle_type, inverse,
 
 DEFAULT_BUDGET = 10 ** 8
 _MC_CHUNK = 20000  # fixes the Monte Carlo sample stream
-# chunk arrays that a draw or a product holds beyond the samples and the
-# kept products: QR's input, its copy, Q and R, or a factor, its conjugate
-# and the result, plus two for the per-sample vectors, as large at dim 1
+# chunk arrays that a product holds beyond the samples and the kept
+# products: a factor, its conjugate and the result, plus two for the
+# per-sample vectors, as large at dim 1; a draw holds less on top of its
+# own sample array: one real normal array, half a chunk array, and
+# column-sized vectors
 _MC_SPARE = 6
 
 
@@ -361,14 +371,32 @@ def exact_trace_moment(word: Sequence[Atom], dim: int,
 # --- Monte Carlo oracle ---------------------------------------------------
 
 def haar_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Batch of Haar unitaries via QR of complex Ginibre matrices with the
-    diagonal-phase correction (plain QR is not Haar-distributed)."""
-    z = (rng.standard_normal((count, dim, dim))
-         + 1j * rng.standard_normal((count, dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    phases = diag / np.abs(diag)
-    return q * phases[:, None, :]
+    """Batch of count Haar unitaries of size dim, shape (count, dim, dim): a
+    view of ``_haar_draw``'s sample-last array."""
+    return _haar_draw(rng, count, dim).transpose(2, 0, 1)
+
+
+def _haar_draw(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """count Haar unitaries as one (dim, dim, count) array, the sample axis
+    last: the Q factor, with a positive real diagonal of R, of complex
+    Ginibre matrices whose real and then imaginary parts are the two
+    standard normal (count, dim, dim) draws (their scale does not change Q).
+    Classical Gram-Schmidt runs twice per column, in place, so Q is
+    orthonormal to round-off and needs no phase correction. The coefficients
+    conj(q_k) . v come from conj(q_k . conj(v)), so only the column, never
+    the block of earlier columns, is conjugated."""
+    q = np.empty((dim, dim, count), dtype=complex)
+    q.real = rng.standard_normal((count, dim, dim)).transpose(1, 2, 0)
+    q.imag = rng.standard_normal((count, dim, dim)).transpose(1, 2, 0)
+    for j in range(dim):
+        v, done = q[:, j, :], q[:, :j, :]
+        for _ in range(2 if j else 0):  # column 0 has nothing to remove
+            c = np.einsum("ikn,in->kn", done, v.conj()).conj()
+            v -= np.einsum("ikn,kn->in", done, c)
+        w = v.view(float)
+        x = np.einsum("ix,ix->x", w, w)
+        v /= np.sqrt(x[0::2] + x[1::2])
+    return q
 
 
 def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
@@ -411,8 +439,9 @@ def mc_trace_moments(words: Sequence[Sequence[Atom]], dim: int,
         n = min(_MC_CHUNK, samples - done)
         us.clear()  # the last chunk's samples go before the next are drawn
         for s in symbols:
-            us[s] = np.ascontiguousarray(
-                haar_sample(rng, n, dim).transpose(1, 2, 0))
+            # _haar_draw's own sample-last array, no copy; drawn through
+            # haar_sample so that profiles see the draw as its own layer
+            us[s] = haar_sample(rng, n, dim).transpose(1, 2, 0)
         eye = np.broadcast_to(np.eye(dim, dtype=complex)[:, :, None],
                               (dim, dim, n))
         traces = _mc_word_traces(order, kept, us, diags, eye)

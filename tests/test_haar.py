@@ -412,6 +412,32 @@ class TestScalarOracle:
             assert exact_trace_moment(word, 1, consts) == expected
 
 
+class TestHaarDraw:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16])
+    def test_draw_is_haar_qr_factor(self, dim):
+        # Q of the Ginibre matrix Z = A + iB from the same two normal draws,
+        # with R = Q* Z upper triangular and its diagonal real and positive,
+        # is Haar (Mezzadri, Notices AMS 54, 2007)
+        n, seed = 200, 11
+        normals = np.random.default_rng(seed)
+        z = (normals.standard_normal((n, dim, dim))
+             + 1j * normals.standard_normal((n, dim, dim)))
+        q = haar._haar_draw(np.random.default_rng(seed), n, dim)
+        assert q.shape == (dim, dim, n)
+        q = q.transpose(2, 0, 1)
+        qh = q.conj().transpose(0, 2, 1)
+        assert np.abs(qh @ q - np.eye(dim)).max() <= 1e-12
+        r = qh @ z
+        assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-12
+        diag = np.einsum("nii->ni", r)
+        assert np.abs(diag.imag).max() <= 1e-12
+        assert diag.real.min() > 0
+        assert np.array_equal(
+            haar_sample(np.random.default_rng(seed), n, dim),
+            haar._haar_draw(np.random.default_rng(seed), n, dim)
+            .transpose(2, 0, 1))
+
+
 class TestMonteCarlo:
     def test_constant_word(self):
         est, err = mc_trace_moment([U("a"), U("a", True)], 3, samples=100, seed=1)
@@ -490,13 +516,15 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak <= budget * 16
 
-    def test_exact_vs_mc_signatures(self):
-        sig = SignatureMatrix(4, 2)
+    @pytest.mark.parametrize("dim, samples", [(4, 40000), (16, 3000)])
+    def test_exact_vs_mc_signatures(self, dim, samples):
+        sig = SignatureMatrix(dim, dim // 2)
         words = [conj_sig("a") + conj_sig("b"),
                  conj_sig("a") + conj_sig("b") + conj_sig("a") + conj_sig("b")]
-        results = mc_trace_moments(words, 4, {"D": sig}, samples=40000, seed=3)
+        results = mc_trace_moments(words, dim, {"D": sig}, samples=samples,
+                                   seed=3)
         for word, (est, err) in zip(words, results):
-            exact = float(exact_trace_moment(word, 4, {"D": sig}))
+            exact = float(exact_trace_moment(word, dim, {"D": sig}))
             assert abs(exact - est) <= 5 * err + 1e-10
 
 
