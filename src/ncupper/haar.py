@@ -42,6 +42,24 @@ short exact sum over the keys at one (dim, constants) point.
 ``exact_trace_moment`` builds and reads at one point; a combination of Haar
 traces in ``states`` reads one histogram at each of its dims.
 
+Last symbol in closed form. In a word without constants, which covers every
+word of a unitary problem, the plain symbol V with the most occurrences (the
+least name on a tie) is not enumerated. Its atoms keep the successor g + 1,
+so once the other symbols' (sigma, tau) are fixed, each loop multiplies V
+and V* in some order and, V being normal, traces V^m, with m its net
+exponent in V. For Haar V, E[prod tr V^m] is dim per loop with m = 0 times
+the sum over lam |- n with at most dim rows of chi^lam(mu+) chi^lam(mu-),
+where mu+ holds the positive m's and mu- the negated negative ones, both of
+size n (Schur orthogonality; Diaconis-Shahshahani, J. Appl. Probab. 31A,
+1994; Diaconis-Evans, Trans. AMS 353, 2001): ``symcomb.power_sum_moment``.
+The key's loops are then the sorted m's, still dim-free, and a word costs
+prod (k!)^2 over the other symbols only: (u v u* v*)^4 keys 576
+configurations instead of 331,776. A word with a constant keeps every
+symbol enumerated, since a loop through both a constant and V is not a
+power sum of V; this covers every hermitian-unitary word, whose symbols are
+block symbols. The budget still counts the whole expansion, (k!)^2 for V
+too, so every budget exit is the same as when V was enumerated.
+
 Parity pruning. When a block symbol has an odd number of blocks around a D
 that is traceless (r = dim/2) at every point the histogram is built for,
 its G_k vanishes on every cycle type, so the moment is 0 and nothing is
@@ -113,7 +131,7 @@ import numpy as np
 from .algebra import exact_sum
 from .errors import BudgetExceededError, InputError
 from .symcomb import (block_weingarten, compose, cycle_type, inverse,
-                      weingarten)
+                      power_sum_moment, weingarten)
 
 DEFAULT_BUDGET = 10 ** 8
 _MC_CHUNK = 20000  # fixes the Monte Carlo sample stream
@@ -201,13 +219,16 @@ def _block_symbols(word: Sequence[Atom],
 
 class Histogram(NamedTuple):
     """The dim-free Weingarten expansion of one trace word. ``counts`` maps
-    (cycle type of sigma_s tau_s^-1 per plain symbol, cycle type of sigma_s
-    per block symbol, loops) to its number of configurations; a loop is the
-    sorted tuple of the names of the constants it carries. ``blocks`` names
-    the constant of each block symbol, in key order."""
+    (cycle type of sigma_s tau_s^-1 per enumerated plain symbol, cycle type
+    of sigma_s per block symbol, loops) to its number of configurations; a
+    loop is the sorted tuple of the names of the constants it carries or,
+    when ``summed`` names the symbol summed in closed form, the loop's net
+    exponent in it. ``blocks`` names the constant of each block symbol, in
+    key order."""
 
     blocks: tuple[str, ...]
     counts: dict[tuple, int]
+    summed: str | None = None
 
 
 def weingarten_histogram(
@@ -250,6 +271,16 @@ def weingarten_histogram(
             f"Weingarten expansion needs {n_configs} configurations "
             f"(k! per block symbol, (k!)^2 per plain symbol; "
             f"budget {budget})")
+    # In a word without constants, the plain symbol with the most
+    # occurrences (the least name on a tie) is summed in closed form: its
+    # atoms keep the successor g + 1 and step their loop's net exponent.
+    summed = None
+    steps = [0] * L
+    if not any(isinstance(a, ConstantAtom) for a in word):
+        summed = min(plain, key=lambda s: (-len(unstarred[s]), s))
+        plain.remove(summed)
+        for p, q in zip(unstarred[summed], starred[summed]):
+            steps[p], steps[q] = 1, -1
 
     # Successor map of the gaps: g + 1 is right for a constant in every
     # configuration; each configuration overwrites the unitary gaps. Block
@@ -299,9 +330,11 @@ def weingarten_histogram(
                         nxt[a] = b
                 mus = tuple(c[compose(sigma, tau_inv)] for c, (sigma, _),
                             (tau_inv, _) in zip(classes, sigmas, taus))
-                key = (mus, nus, _loops(nxt, names, outer_gaps))
+                loops = (_loops(nxt, names, outer_gaps) if summed is None
+                         else _exponents(nxt, steps))
+                key = (mus, nus, loops)
                 hist[key] = hist.get(key, 0) + 1
-    return Histogram(tuple(blocks[s] for s in block_syms), hist)
+    return Histogram(tuple(blocks[s] for s in block_syms), hist, summed)
 
 
 def _loops(nxt: list[int], names: list[str | None], gaps: list[int]) -> tuple:
@@ -322,13 +355,32 @@ def _loops(nxt: list[int], names: list[str | None], gaps: list[int]) -> tuple:
     return tuple(sorted(loops))
 
 
+def _exponents(nxt: list[int], steps: list[int]) -> tuple:
+    """The cycles of the successor map through every gap, each as the sum
+    of the steps at its gaps, sorted."""
+    seen = [False] * len(nxt)
+    out = []
+    for g in range(len(nxt)):
+        if seen[g]:
+            continue
+        m = 0
+        while not seen[g]:
+            seen[g] = True
+            m += steps[g]
+            g = nxt[g]
+        out.append(m)
+    return tuple(sorted(out))
+
+
 def read_histogram(hist: Histogram, dim: int,
                    constants: Mapping[str, SignatureMatrix] | None = None
                    ) -> Fraction:
     """E[tr w] at one of the points the histogram of w was built for: each
     key weighs prod Wg(mu_s, dim) prod G(nu_s, dim, r_s) times its loop
     values, and counts as often as its configurations; the sum is exact in
-    integers."""
+    integers. With a summed symbol V, the loops' exponents m give
+    E[prod tr V^m] = dim^#(m = 0) times ``power_sum_moment`` of the positive
+    m's and of the negated negative ones."""
     rs = {name: m.r for name, m in (constants or {}).items()}
     loop_values: dict[tuple, int] = {}
     terms = []
@@ -336,10 +388,17 @@ def read_histogram(hist: Histogram, dim: int,
         weights = [weingarten(mu, dim) for mu in mus]
         weights += [block_weingarten(nu, dim, rs[name])
                     for name, nu in zip(hist.blocks, nus)]
-        for loop in loops:
-            if loop not in loop_values:
-                loop_values[loop] = _loop_value(loop, dim, rs)
-            n *= loop_values[loop]
+        if hist.summed is None:
+            for loop in loops:
+                if loop not in loop_values:
+                    loop_values[loop] = _loop_value(loop, dim, rs)
+                n *= loop_values[loop]
+        else:
+            if loops not in loop_values:
+                loop_values[loops] = dim ** loops.count(0) * power_sum_moment(
+                    tuple(m for m in loops if m > 0),
+                    tuple(-m for m in loops if m < 0), dim)
+            n *= loop_values[loops]
         den = 1
         for x in weights:
             n *= x.numerator

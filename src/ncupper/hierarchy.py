@@ -248,7 +248,10 @@ def _orders(pencil: Callable, bound: str, d_max: int,
 
 
 def _to_float(rows) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in rows])
+    """Fractions to floats: x.numerator / x.denominator is the correctly
+    rounded int division that float(x) makes, without its dispatch."""
+    return np.array([[x.numerator / x.denominator for x in row]
+                     for row in rows])
 
 
 def _rows_source(rows) -> str:

@@ -9,6 +9,8 @@ Wg(mu, d) of a unitary symbol and G(mu, d, r) of a block U D U* are one
 character sum over the lam |- |mu| with at most d rows, which
 ``partitions_within`` lists lazily without building a longer partition.
 ``weingarten_table`` computes the factors of each lam once for all mu.
+``power_sum_moment``, the Haar moment of power sums of one unitary, is the
+same kind of sum with two characters.
 """
 
 from __future__ import annotations
@@ -172,6 +174,21 @@ def _character_sum(mu: Partition,
     weight, for a checked, decreasing partition mu of the same n."""
     den, nums = weights
     return Fraction(sum(_mn(lam, mu) * num for lam, num in nums), den)
+
+
+def power_sum_moment(mu: Partition, nu: Partition, d: int) -> int:
+    """E[p_mu(V) conj p_nu(V)] for Haar V in U(d), where p_mu(V) is the
+    product of tr V^m over the parts m of mu: by Schur orthogonality, the
+    sum over lam |- n with at most d rows of chi^lam(mu) chi^lam(nu) when
+    |mu| = |nu| = n, and 0 otherwise (Diaconis-Shahshahani, J. Appl. Probab.
+    31A, 1994). For d >= n it is z_mu when mu = nu and 0 otherwise."""
+    if d < 1 or not all(m > 0 for m in (*mu, *nu)):
+        raise InputError("power_sum_moment needs positive parts and d >= 1")
+    n = sum(mu)
+    if sum(nu) != n:
+        return 0
+    mu, nu = (tuple(sorted(p, reverse=True)) for p in (mu, nu))
+    return sum(_mn(lam, mu) * _mn(lam, nu) for lam in partitions_within(n, d))
 
 
 @lru_cache(maxsize=None)

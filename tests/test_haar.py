@@ -386,6 +386,81 @@ def _random_mixed_word(rng):
     return word or conj_sig("a")
 
 
+def _random_unitary_word(rng):
+    """A shuffled balanced word over u, v, w, each with 1 to 3 occurrences
+    of U and as many of U*, at most 144 (sigma, tau) configurations in all
+    so that the joint oracle stays fast."""
+    while True:
+        ks = {s: rng.randrange(1, 4) for s in "uvw"}
+        if math.prod(math.factorial(k) ** 2 for k in ks.values()) <= 144:
+            break
+    word = [U(s, star) for s, k in ks.items() for star in (False, True)
+            for _ in range(k)]
+    rng.shuffle(word)
+    return word
+
+
+class TestSummedSymbol:
+    """In a word without constants, the plain symbol with the most
+    occurrences is summed in closed form instead of enumerated."""
+
+    def test_random_words_match_oracle(self):
+        rng = random.Random(23)
+        for _ in range(120):
+            word = _random_unitary_word(rng)
+            for dim in (1, 2, 3, 4):
+                assert exact_trace_moment(word, dim) == \
+                    _oracle_exact(word, dim), (word, dim)
+
+    def test_enumerates_all_but_the_most_frequent_symbol(self):
+        # u occurs 3 times, v and w twice: v and w are enumerated
+        word = [U("u"), U("v"), U("w"), U("u"), U("w", True), U("v"),
+                U("u", True), U("w"), U("u"), U("v", True), U("w", True),
+                U("u", True), U("v", True), U("u", True)]
+        hist = haar.weingarten_histogram(word, [(2, None)])
+        assert hist.summed == "u"
+        assert sum(hist.counts.values()) == (2 * 2) ** 2
+        # on a tie the least name is summed
+        tie = [U("b"), U("a"), U("b", True), U("a", True)] * 2
+        hist = haar.weingarten_histogram(tie, [(2, None)])
+        assert hist.summed == "a"
+        assert sum(hist.counts.values()) == 2 ** 2
+        # one symbol: a single configuration, one loop of exponent 0
+        hist = haar.weingarten_histogram([U("a"), U("a", True)] * 3,
+                                         [(3, None)])
+        assert hist.counts == {((), (), (0,)): 1}
+
+    def test_word_with_constant_enumerates_every_symbol(self):
+        word = [U("a"), D("D"), U("b"), U("a", True), U("b", True),
+                U("a"), U("a", True)]
+        consts = {"D": SignatureMatrix(3, 1)}
+        hist = haar.weingarten_histogram(word, [(3, consts)])
+        assert hist.summed is None
+        assert sum(hist.counts.values()) == (2 * 1) ** 2
+        assert exact_trace_moment(word, 3, consts) == \
+            _oracle_exact(word, 3, consts)
+
+    def test_budget_counts_the_summed_symbol(self):
+        # (u v u* v*)^4 enumerates 576 configurations for v alone, but the
+        # budget still counts (4!)^2 for each of u and v
+        word = [U("u"), U("v"), U("u", True), U("v", True)] * 4
+        with pytest.raises(BudgetExceededError, match="needs 331776 "):
+            exact_trace_moment(word, 2, budget=331775)
+        hist = haar.weingarten_histogram(word, [(2, None)], budget=331776)
+        assert sum(hist.counts.values()) == 576
+
+    @pytest.mark.parametrize("dim, exact", [(2, Fraction(-2, 15)),
+                                            (3, Fraction(1, 3))])
+    def test_long_commutator_power_vs_monte_carlo(self, dim, exact):
+        # (u v u* v*)^4 takes the joint (sigma, tau) sum 331,776
+        # configurations per dim, which gave these values; summing u in
+        # closed form takes 576
+        word = [U("u"), U("v"), U("u", True), U("v", True)] * 4
+        assert exact_trace_moment(word, dim) == exact
+        est, err = mc_trace_moment(word, dim, samples=40000, seed=dim)
+        assert abs(float(exact) - est) <= 5 * err
+
+
 class TestScalarOracle:
     def test_dim1_analytic(self):
         # at dim 1 the value is prod of constant signs if every unitary

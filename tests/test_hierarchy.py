@@ -504,6 +504,20 @@ class TestMaxShift:
             max_shift(np.eye(2), np.eye(2), tol=tol)
 
 
+def test_to_float_is_float_bitwise():
+    # numerator / denominator rounds as float() does, also for huge,
+    # negative, tiny and integer entries
+    rng = random.Random(31)
+    rows = [[Fraction(rng.randrange(-10 ** 40, 10 ** 40),
+                      rng.randrange(1, 10 ** rng.randrange(1, 60)))
+             for _ in range(7)] for _ in range(7)]
+    rows.append([Fraction(-1, 3), Fraction(10 ** 300, 7),
+                 Fraction(-1, 10 ** 320), Fraction(0), Fraction(-5),
+                 Fraction(2 ** 53 + 1), Fraction(-17 * 10 ** 307)])
+    want = np.array([[float(x) for x in row] for row in rows])
+    assert hierarchy._to_float(rows).tobytes() == want.tobytes()
+
+
 class TestSequences:
     def test_reflection_order1_exact(self, reflection):
         fam = reflection.state_family()

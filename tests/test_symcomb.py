@@ -8,7 +8,7 @@ from ncupper.errors import InputError
 from ncupper.symcomb import (block_weingarten, centralizer_order, character,
                              compose, content_product, cycle_type, dimension,
                              inverse, partitions, partitions_within,
-                             weingarten)
+                             power_sum_moment, weingarten)
 
 
 def brute_partitions(n):
@@ -209,3 +209,45 @@ class TestBlockWeingarten:
         for mu in [(2, 0), (2, -1)]:
             with pytest.raises(InputError, match="block_weingarten needs"):
                 block_weingarten(mu, 2, 1)
+
+
+class TestPowerSumMoment:
+    """E[p_mu(V) conj p_nu(V)] for Haar V in U(d), by Schur orthogonality."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_column_orthogonality(self, n):
+        # for d >= n every lam |- n counts: z_mu delta_{mu nu}
+        for mu in partitions(n):
+            for nu in partitions(n):
+                want = centralizer_order(mu) if mu == nu else 0
+                for d in (n, n + 2):
+                    assert power_sum_moment(mu, nu, d) == want, (mu, nu, d)
+
+    def test_small_dims(self):
+        # E |tr U|^4 is 1 at d = 1 and 2 for d >= 2; E |tr U|^(2n) counts
+        # the permutations of n with no increasing subsequence longer than d
+        # (Rains, Electron. J. Combin. 5, 1998): Catalan numbers at d = 2
+        assert power_sum_moment((1, 1), (1, 1), 1) == 1
+        assert [power_sum_moment((1, 1), (1, 1), d) for d in (2, 3)] == [2, 2]
+        assert [power_sum_moment((1,) * n, (1,) * n, 2)
+                for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+        # at d = 1, V is a phase: every pair of equal sizes gives 1
+        for n in range(1, 6):
+            for mu in partitions(n):
+                for nu in partitions(n):
+                    assert power_sum_moment(mu, nu, 1) == 1
+
+    def test_unequal_sizes_vanish(self):
+        assert power_sum_moment((2, 1), (2,), 3) == 0
+        assert power_sum_moment((), (1,), 1) == 0
+        assert power_sum_moment((), (), 1) == 1
+
+    def test_order_of_parts_is_free(self):
+        assert power_sum_moment((1, 2), (2, 1), 3) == \
+            power_sum_moment((2, 1), (2, 1), 3) == 2
+
+    @pytest.mark.parametrize("mu, nu, d", [((1,), (1,), 0),
+                                           ((0, 1), (1,), 2)])
+    def test_rejects_bad_input(self, mu, nu, d):
+        with pytest.raises(InputError):
+            power_sum_moment(mu, nu, d)
