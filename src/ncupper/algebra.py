@@ -8,9 +8,10 @@ Generators come in three kinds:
 
 A word is its tuple of ``Letter``s (the ``Word`` alias); ``()`` is the unit
 and ``word_str`` writes the problem syntax. Each generator carries a
-tensor-factor tag; letters with distinct tags commute, and canonical words
-are stably sorted so tags are non-decreasing. Polynomial coefficients are
-exact rationals throughout.
+tensor-factor tag; letters with distinct tags commute and never cancel, so a
+word is reduced one factor at a time and the canonical word lists the
+reduced factors by increasing tag. Polynomial coefficients are exact
+rationals throughout.
 """
 
 from __future__ import annotations
@@ -151,26 +152,30 @@ def word_sort_key(word: Word, algebra: AlgebraSpec):
 def canonicalize(word: Word, algebra: AlgebraSpec) -> Word:
     """Unique canonical representative of a word modulo the relations.
 
-    Letters are stably sorted by factor tag (distinct factors commute),
-    hermitian-unitary stars are dropped, and adjacent inverse pairs are
-    cancelled until a fixed point.
+    Each tensor factor's letters, in word order, are reduced on a stack of
+    their own (distinct factors commute and never cancel): hermitian-unitary
+    stars are dropped and adjacent inverse pairs are cancelled. The reduced
+    factors are concatenated by increasing tag, the form a stable sort by
+    tag followed by one reduction gives.
     """
     table = algebra.letters
+    stacks: list[list[Letter]] = [[] for _ in algebra.factor_tags]
     try:
-        rows = [table[l] for l in word]
+        for l in word:
+            normal, partner, _, factor = table[l]
+            stack = stacks[factor]
+            if stack and stack[-1] == partner:
+                stack.pop()
+            else:
+                stack.append(normal)
     except KeyError:
         for l in word:
             algebra.generator(l.gen)  # an unknown id raises InputError
         raise InputError(f"bad letter in {word!r}") from None
-    if len(algebra.factor_tags) > 1:
-        rows.sort(key=lambda row: row.factor)  # stable
-    stack: list[Letter] = []
-    for normal, partner, _, _ in rows:
-        if stack and stack[-1] == partner:
-            stack.pop()
-        else:
-            stack.append(normal)
-    return tuple(stack)
+    out = stacks[0]
+    for stack in stacks[1:]:
+        out += stack
+    return tuple(out)
 
 
 def tracial_class(word: Word, algebra: AlgebraSpec) -> Word:
@@ -276,13 +281,22 @@ def star(p: NCPolynomial, algebra: AlgebraSpec) -> NCPolynomial:
 
 
 def multiply(p: NCPolynomial, q: NCPolynomial, algebra: AlgebraSpec) -> NCPolynomial:
-    """Distributive product with canonical reduction of every word."""
-    out: dict[Word, Fraction] = {}
+    """Distributive product with canonical reduction of every word. Each
+    operand's coefficients are put over their common denominator, the
+    integer numerators are added per word, and one Fraction is made per
+    word of the product."""
+    dp = math.lcm(*(c.denominator for c in p.terms.values()))
+    dq = math.lcm(*(c.denominator for c in q.terms.values()))
+    qs = [(wq, cq.numerator * (dq // cq.denominator))
+          for wq, cq in q.terms.items()]
+    nums: dict[Word, int] = {}
     for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
+        a = cp.numerator * (dp // cp.denominator)
+        for wq, b in qs:
             w = canonicalize(wp + wq, algebra)
-            out[w] = out.get(w, 0) + cp * cq
-    return NCPolynomial(out)
+            nums[w] = nums.get(w, 0) + a * b
+    den = dp * dq
+    return NCPolynomial({w: Fraction(n, den) for w, n in nums.items() if n})
 
 
 def is_self_adjoint(p: NCPolynomial, algebra: AlgebraSpec) -> bool:

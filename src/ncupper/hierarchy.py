@@ -15,15 +15,18 @@ eigensolve.
 Only words of unitary charge 0 (``algebra.charge``) are evaluated, since
 every state is 0 on the others (the charge rule of ``states``): cell (u, v)
 of M(f) sums the terms t of f with charge(t) = charge(u) - charge(v), and a
-cell with none is 0; eta evaluates the charge-0 terms of each f^k, built
-once per run up to K = 2 d_max + 1 and only from the terms of f^(k-1) that
-the remaining factors of f can still bring back to charge 0 by f^K, which
-gives every order the charge-0 terms of the full powers. ``WORD_BUDGET``
-still counts every (cell, term) pair of a moment matrix, n(n+1)/2 * |f|,
-before this filter, and for eta the terms of each power as built. Every
-state is checked on all the generators of the basis and f first
-(``Evaluator.check``), so one that refuses them raises before any word is
-evaluated.
+cell with none is 0. Every state is also tracial, so psi(u* t v) =
+psi(t g) with g the canonical word of v u*: the cells with one g share
+their value, and M(f) evaluates one sum of the words t g per distinct g
+(chsh at order 3: 81 sums for 325 cells). Eta evaluates the charge-0 terms
+of each f^k, built once per run up to K = 2 d_max + 1 and only from the
+terms of f^(k-1) that the remaining factors of f can still bring back to
+charge 0 by f^K, which gives every order the charge-0 terms of the full
+powers. ``WORD_BUDGET`` still counts every (cell, term) pair of a moment
+matrix, n(n+1)/2 * |f|, before the charge filter and the shared cells, and
+for eta the terms of each power as built. Every state is checked on all
+the generators of the basis and f first (``Evaluator.check``), so one that
+refuses them raises before any word is evaluated.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraSpec, NCPolynomial, Word, charge,
+from .algebra import (AlgebraSpec, NCPolynomial, Word, canonicalize, charge,
                       is_self_adjoint, multiply, star_word, words_up_to)
 from .errors import (BudgetExceededError, IndefiniteBError, InputError,
                      KernelViolationError)
@@ -113,12 +116,19 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
         for qt, ts in terms.items():
             js = columns.get(tuple(a - b for a, b in zip(qu, qt)), ())
             cells += ((i, j, ts) for j in js[bisect_left(js, i):])
+    # psi(u* t v) = psi(t g) with g = v u*, so cells share their value by g
+    # (and then share their terms too, as charge(g) picks them)
     adjoints = [star_word(u) for u in basis]
-    values = ev.sums(state, (((adjoints[i] + w + basis[j], c) for w, c in ts)
-                             for i, j, ts in cells))
+    groups: dict[Word, tuple[list, list]] = {}  # g -> (terms, cells)
+    for i, j, ts in cells:
+        g = canonicalize(basis[j] + adjoints[i], ev.algebra)
+        groups.setdefault(g, (ts, []))[1].append((i, j))
+    values = ev.sums(state, (((w + g, c) for w, c in ts)
+                             for g, (ts, _) in groups.items()))
     entries = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j, _), v in zip(cells, values):
-        entries[i][j] = entries[j][i] = v
+    for (_, ijs), v in zip(groups.values(), values):
+        for i, j in ijs:
+            entries[i][j] = entries[j][i] = v
     return MomentMatrix(basis, entries)
 
 

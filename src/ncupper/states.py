@@ -16,14 +16,16 @@ Supported variants:
                             centered component elements evaluate to zero
 
 Every variant is tracial with real values (for combinations, tensor and free
-products: Voiculescu-Dykema-Nica, "Free random variables", 1992), so values
-are memoized on ``algebra.tracial_class``; a non-tracial state added later
-must opt out. Every variant is also invariant under u -> e^{i theta} u for
-each unitary generator u: Haar measure is, a word that reduces to 1 has net
-exponent 0 in every generator, and combinations, tensor and free products
-keep the invariance. So psi(w) = 0 unless ``algebra.charge(w)`` is 0, and
+products: Voiculescu-Dykema-Nica, "Free random variables", 1992). Two
+places rely on it: values are memoized on ``algebra.tracial_class``, and
+``hierarchy.moment_matrix`` evaluates psi(u* t v) as psi(t v u*), once per
+canonical word v u*. A non-tracial state added later must opt out of both.
+Every variant is also invariant under u -> e^{i theta} u for each unitary
+generator u: Haar measure is, a word that reduces to 1 has net exponent 0
+in every generator, and combinations, tensor and free products keep the
+invariance. So psi(w) = 0 unless ``algebra.charge(w)`` is 0, and
 ``hierarchy`` skips such words for every state: a state added later must
-keep this charge rule. The one memo is an ``Evaluator``'s, made per run
+keep this charge rule. Every memo is an ``Evaluator``'s, made per run
 for one algebra and budget, so a combination builds one histogram per class
 in a run, and its budget counts the configurations once for all of its
 dims; no memo outlives the run. Whether a state can evaluate a word (one
@@ -103,13 +105,16 @@ def evaluate_poly(state: StateSpec, p: NCPolynomial, algebra: AlgebraSpec,
 class Evaluator:
     """State values of one run: one algebra, one Weingarten budget. Per
     state it keeps canonical word and tracial class -> value, and the
-    generator sets already checked, for as long as it lives: one solve, so
-    that eta reuses the classes lambda evaluated."""
+    generator sets already checked; for all states, canonical word ->
+    tracial class, which does not depend on the state. It keeps them for as
+    long as it lives: one solve, so that eta reuses the classes lambda
+    evaluated."""
 
     def __init__(self, algebra: AlgebraSpec, budget: int = DEFAULT_BUDGET):
         self.algebra = algebra
         self.budget = budget
         self._values: dict[StateSpec, dict[Word, Fraction]] = {}
+        self._classes: dict[Word, Word] = {}  # canonical word -> class
         self._checked: dict[StateSpec, set[frozenset]] = {}
 
     def sums(self, state: StateSpec,
@@ -117,9 +122,9 @@ class Evaluator:
              ) -> list[Fraction]:
         """Exact sum of c * psi(w) over each iterable of (word, c) terms, in
         order. Every word is canonicalized; a new one is checked, then
-        reduced to its tracial class, and a new class is evaluated once by
-        ``_eval``. Each sum is added in integers by ``exact_sum``."""
-        algebra = self.algebra
+        reduced to its tracial class (once for all states), and a new class
+        is evaluated once by ``_eval``. Each sum is added in integers by ``exact_sum``."""
+        algebra, classes = self.algebra, self._classes
         values = self._values.setdefault(state, {})
         out = []
         for terms in sums:
@@ -128,8 +133,10 @@ class Evaluator:
                 w = canonicalize(w, algebra)
                 if w not in values:
                     self.check(state, [w])
+                    if w not in classes:
+                        classes[w] = tracial_class(w, algebra)
                     # a class has a subset of w's generators, so it passes too
-                    values[w] = self._value(state, tracial_class(w, algebra))
+                    values[w] = self._value(state, classes[w])
                 v = values[w]
                 products.append((c.numerator * v.numerator,
                                  c.denominator * v.denominator))

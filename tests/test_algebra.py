@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncupper.algebra import (AlgebraSpec, GeneratorSpec, Letter, NCPolynomial,
-                             Word, canonicalize, charge, evaluate, multiply,
-                             star, star_word, words_up_to)
+from ncupper.algebra import (KINDS, AlgebraSpec, GeneratorSpec, Letter,
+                             NCPolynomial, Word, canonicalize, charge,
+                             evaluate, multiply, star, star_word, words_up_to)
 from ncupper.errors import InputError
 from conftest import random_word
 
@@ -122,6 +122,64 @@ class TestMultiply:
             assert lhs == rhs
 
 
+def _fraction_product(p, q, algebra):
+    """Reference product: one Fraction product per pair of terms, added
+    per word in first-seen order."""
+    out = {}
+    for wp, cp in p.terms.items():
+        for wq, cq in q.terms.items():
+            word = canonicalize(wp + wq, algebra)
+            out[word] = out.get(word, Fraction(0)) + cp * cq
+    return [(word, c) for word, c in out.items() if c != 0]
+
+
+class TestMultiplyIntegers:
+    """multiply adds integer numerators over each operand's common
+    denominator; its terms, in order, are those of Fraction products."""
+
+    @staticmethod
+    def _random_poly(rng, algebra, size):
+        terms = {}
+        for _ in range(size):
+            word = canonicalize(random_word(rng, algebra, 4), algebra)
+            terms[word] = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 30),
+                                   rng.randrange(1, 13))
+        return NCPolynomial(terms)
+
+    def test_terms_in_order_random(self, bipartite_algebra, unitary_algebra):
+        rng = random.Random(24)
+        for algebra in (bipartite_algebra, unitary_algebra):
+            for _ in range(150):
+                p = self._random_poly(rng, algebra, rng.randrange(1, 7))
+                q = self._random_poly(rng, algebra, rng.randrange(1, 7))
+                got = multiply(p, q, algebra)
+                assert list(got.terms.items()) == _fraction_product(
+                    p, q, algebra)
+                assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_cancelled_terms_dropped(self, unitary_algebra):
+        # (u1 + 1/2)(u1* - 1/3) = 1 - u1/3 + u1*/2 - 1/6, in first-seen
+        # order with the unit's two parts added
+        u = NCPolynomial.from_word(w(("u1", False)))
+        ustar = NCPolynomial.from_word(w(("u1", True)))
+        p = u + NCPolynomial.scalar(Fraction(1, 2))
+        q = ustar - NCPolynomial.scalar(Fraction(1, 3))
+        assert list(multiply(p, q, unitary_algebra).terms.items()) == [
+            ((), Fraction(5, 6)), (w(("u1", False)), Fraction(-1, 3)),
+            (w(("u1", True)), Fraction(1, 2))]
+        p = u + NCPolynomial.scalar(1)
+        q = ustar - NCPolynomial.scalar(1)  # 1 - u + u* - 1: no unit
+        assert list(multiply(p, q, unitary_algebra).terms.items()) == [
+            (w(("u1", False)), Fraction(-1)), (w(("u1", True)), Fraction(1))]
+
+    def test_empty_operand(self, herm_algebra):
+        p = NCPolynomial.from_word(w(("b1", False)), Fraction(2, 3))
+        zero = NCPolynomial.zero()
+        assert multiply(p, zero, herm_algebra).terms == {}
+        assert multiply(zero, p, herm_algebra).terms == {}
+        assert multiply(zero, zero, herm_algebra).terms == {}
+
+
 def brute_force_words(algebra, subset, d):
     """Independent oracle: enumerate all raw letter strings, canonicalize,
     dedupe."""
@@ -219,6 +277,55 @@ class TestEvaluate:
             rhs = evaluate(p, assign, unitary_algebra) @ \
                 evaluate(q, assign, unitary_algebra)
             assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _three_factor_algebra():
+    """Every kind in each of three tensor factors."""
+    return AlgebraSpec(tuple(
+        GeneratorSpec(f"{kind[0]}{tag}", kind, tag)
+        for tag in range(3) for kind in ("general", "unitary",
+                                         "hermitian-unitary")))
+
+
+def _sort_then_stack(word, algebra):
+    """Reference rule: stably sort the letters by factor tag, then reduce
+    the whole word on one stack."""
+    out = []
+    for l in sorted(word, key=lambda l: algebra.by_id[l.gen].factor):
+        kind = algebra.by_id[l.gen].kind
+        l = Letter(l.gen, l.star and kind != "hermitian-unitary")
+        if kind != "general" and out and out[-1] == Letter(
+                l.gen, not l.star and kind == "unitary"):
+            out.pop()
+        else:
+            out.append(l)
+    return tuple(out)
+
+
+class TestCanonicalizePerFactor:
+    """canonicalize reduces each tensor factor on its own stack; the result
+    is the one a stable sort by factor and a single reduction give."""
+
+    def test_matches_sort_then_stack_random(self):
+        algebra = _three_factor_algebra()
+        rng = random.Random(24)
+        letters = [Letter(g.id, s) for g in algebra.generators
+                   for s in (False, True)]  # starred b's too
+        kinds = set()
+        for _ in range(600):
+            word = tuple(rng.choice(letters)
+                         for _ in range(rng.randrange(13)))
+            c = canonicalize(word, algebra)
+            assert c == _sort_then_stack(word, algebra), word
+            assert canonicalize(c, algebra) == c
+            kinds |= {algebra.by_id[l.gen].kind for l in word}
+        assert kinds == set(KINDS)
+
+    def test_unknown_generator_after_known_letters(self):
+        algebra = _three_factor_algebra()
+        word = w(("u1", False), ("h2", True), ("zz", False), ("g0", False))
+        with pytest.raises(InputError, match="unknown generator id 'zz'"):
+            canonicalize(word, algebra)
 
 
 class TestCharge:

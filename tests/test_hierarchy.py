@@ -14,8 +14,9 @@ from ncupper.errors import (BudgetExceededError, IndefiniteBError, InputError,
 from ncupper.hierarchy import (eta_sequence, lambda_sequence, max_shift,
                                moment_matrix, scalar_moments)
 from ncupper.problems import bundled_problem_path, parse_problem
-from ncupper.states import (CanonicalTrace, FreeProductState, HaarTrace,
-                            Evaluator, evaluate_poly)
+from ncupper.states import (CanonicalTrace, Combination, FreeProductState,
+                            HaarTrace, Evaluator, TensorProductState,
+                            evaluate_poly)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +165,100 @@ class TestMomentMatrix:
                         NCPolynomial.from_word(v), algebra)
                     assert m.entries[i][j] == states.evaluate_poly(
                         psi, p, algebra), name
+
+
+def _per_cell_entries(f, state, basis, algebra):
+    """Each cell of the upper triangle as its own Evaluator.sums of the raw
+    words u* t v over every term t of f: no charge rule, no shared cells."""
+    cells = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    sums = [[(star_word(basis[i]) + w + basis[j], c)
+             for w, c in f.terms.items()] for i, j in cells]
+    entries = [[None] * len(basis) for _ in basis]
+    for (i, j), v in zip(cells, Evaluator(algebra).sums(state, sums)):
+        entries[i][j] = entries[j][i] = v
+    return entries
+
+
+def _self_adjoint(algebra, texts, constant):
+    """constant + the sum of p + p* over the words written in texts."""
+    f = NCPolynomial.scalar(constant)
+    for text in texts:
+        p = NCPolynomial.from_word(canonicalize(tuple(
+            Letter(g.rstrip("*"), g.endswith("*")) for g in text.split()),
+            algebra))
+        f = f + p + star(p, algebra)
+    return f
+
+
+class TestSharedCells:
+    """moment_matrix evaluates one sum per distinct g = v u*, since
+    psi(u* t v) = psi(t v u*) for a tracial psi, and fills every cell of
+    g's group with it: each entry is exactly the value of its own cell."""
+
+    def _assert_shared_exact(self, f, state, basis, algebra):
+        for p in (f, NCPolynomial.one()):
+            m = moment_matrix(p, state, basis, Evaluator(algebra))
+            assert m.entries == _per_cell_entries(p, state, basis, algebra)
+
+    @pytest.mark.parametrize("name", ["chsh", "reflection", "free-unitaries",
+                                      "commutator-example"])
+    def test_bundled_order3(self, name):
+        problem = parse_problem(bundled_problem_path(name))
+        self._assert_shared_exact(
+            problem.objective, problem.state_family()(3),
+            words_up_to(problem.algebra, problem.subset, 3), problem.algebra)
+
+    def test_three_factor_tensor_product_order2(self):
+        algebra = AlgebraSpec((GeneratorSpec("b1", "hermitian-unitary", 0),
+                               GeneratorSpec("b2", "hermitian-unitary", 0),
+                               GeneratorSpec("u", "unitary", 1),
+                               GeneratorSpec("c1", "hermitian-unitary", 2),
+                               GeneratorSpec("c2", "hermitian-unitary", 2)))
+        f = _self_adjoint(algebra, ["b1 u c1", "c2 b2", "u", "b1 c1 u*"],
+                          Fraction(1, 2))
+        state = TensorProductState((
+            (0, HaarTrace(2)), (1, HaarTrace(2)),
+            (2, Combination(((Fraction(1, 3), HaarTrace(1)),
+                             (Fraction(2, 3), HaarTrace(2)))))))
+        self._assert_shared_exact(
+            f, state, words_up_to(algebra, ["b1", "b2", "u", "c1", "c2"], 2),
+            algebra)
+
+    @pytest.mark.parametrize("state", [
+        CanonicalTrace(),
+        FreeProductState(((frozenset({"x"}), CanonicalTrace()),
+                          (frozenset({"u"}), HaarTrace(2)),
+                          (frozenset({"b"}), HaarTrace(1))))],
+        ids=["canonical", "free-product"])
+    def test_mixed_algebra_order2(self, state):
+        algebra = AlgebraSpec((GeneratorSpec("x", "general"),
+                               GeneratorSpec("u", "unitary"),
+                               GeneratorSpec("b", "hermitian-unitary")))
+        f = _self_adjoint(algebra, ["x", "u b", "x u* b", "u u"],
+                          Fraction(1, 3))
+        self._assert_shared_exact(
+            f, state, words_up_to(algebra, ["x", "u", "b"], 2), algebra)
+
+    def test_chsh_order3_sums_handed(self, chsh, monkeypatch):
+        # 25 basis words make 325 cells, and their words v u* fall into 81
+        # canonical words: one sum each, of f's 5 terms in M(f)
+        state = chsh.state_family()(3)
+        basis = words_up_to(chsh.algebra, chsh.subset, 3)
+        assert len(basis) * (len(basis) + 1) // 2 == 325
+        handed = []
+        _sums = Evaluator.sums
+
+        def recorded(self, psi, sums):
+            if psi is state:  # not the recursion into the state's parts
+                sums = [list(terms) for terms in sums]
+                handed.append([len(terms) for terms in sums])
+            return _sums(self, psi, sums)
+
+        monkeypatch.setattr(Evaluator, "sums", recorded)
+        ev = Evaluator(chsh.algebra)
+        moment_matrix(NCPolynomial.one(), state, basis, ev)
+        moment_matrix(chsh.objective, state, basis, ev)
+        assert handed == [[1] * 81, [5] * 81]
 
 
 def _mixed_charge_f(algebra):
