@@ -30,8 +30,8 @@ from .algebra import word_str
 from .errors import BudgetExceededError, NCUpperError, InputError
 from .haar import DEFAULT_BUDGET, exact_trace_moment, mc_trace_moment
 from .hierarchy import DEFAULT_TOL, eta_sequence, lambda_sequence
-from .problems import (ProblemFile, parse_problem, parse_word_tokens,
-                       serialize_problem)
+from .problems import (HIERARCHIES, ProblemFile, parse_problem,
+                       parse_word_tokens, serialize_problem)
 from .states import Evaluator, evaluate_state, trace_atoms
 from .symcomb import partitions_within, weingarten_table
 
@@ -64,12 +64,11 @@ def _one_of(*choices: str):
 
 
 def _dims_list(text: str) -> list[int]:
-    try:
-        dims = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        dims = []
-    if not dims or min(dims) < 1:
-        raise InputError(f"bad dims list {text!r}")
+    dims = [int(t) for t in text.split(",") if t.strip()]
+    if not dims:
+        raise ValueError
+    if min(dims) < 1:
+        raise _TooSmall("must be >= 1")
     return dims
 
 
@@ -82,7 +81,7 @@ _DIMS = ("dims", _dims_list, None)
 _BUDGET = ("budget", _int_at_least(0), DEFAULT_BUDGET)
 _SEED = ("seed", _int_at_least(0), 0)
 OPTIONS = {
-    "solve": (_ORDER, ("hierarchy", _one_of("lambda", "eta", "both"), None),
+    "solve": (_ORDER, ("hierarchy", _one_of(*HIERARCHIES), None),
               _DIMS, ("tol", float, DEFAULT_TOL), _BUDGET, _SEED,
               ("out", str, None),
               ("format", _one_of("table", "machine"), "table")),

@@ -66,15 +66,18 @@ its G_k vanishes on every cycle type, so the moment is 0 and nothing is
 enumerated. The budget counts k! per block symbol and (k!)^2 per plain
 symbol, after this pruning, once per build however many points it serves.
 
-Memo. The engine keeps no memo: every build enumerates, so every build
-checks its budget. The one moment memo is a ``states.Evaluator``'s, made
-per run and keyed on (state, tracial class). The tracial class
-(``algebra.tracial_class``: cyclic cancellation and rotation within each
-tensor factor, and the adjoint) keeps the value of every real tracial state,
-and tr w depends only on the class of w under rotation and adjoint (the
-constants being real diagonal), so a class has one moment, and each class
-reaches this engine once per Haar trace or combination of them in a run,
-already cyclically reduced: a memo here would never be hit.
+Memo. The engine and its reads keep no memo: every build enumerates, so
+every build checks its budget, and a read takes Wg, G and the power sums
+from ``symcomb``'s tables, the one memo of pure Weingarten-calculus values,
+and each loop value from its closed form. The one moment memo is a
+``states.Evaluator``'s, made per run and keyed on (state, tracial class).
+The tracial class (``algebra.tracial_class``: cyclic cancellation and
+rotation within each tensor factor, and the adjoint) keeps the value of
+every real tracial state, and tr w depends only on the class of w under
+rotation and adjoint (the constants being real diagonal), so a class has
+one moment, and each class reaches this engine once per Haar trace or
+combination of them in a run, already cyclically reduced: a memo here
+would never be hit.
 
 Word check. ``weingarten_histogram``, at each of its points, and the Monte
 Carlo oracle ``mc_trace_moments`` check a word through one helper
@@ -382,7 +385,6 @@ def read_histogram(hist: Histogram, dim: int,
     E[prod tr V^m] = dim^#(m = 0) times ``power_sum_moment`` of the positive
     m's and of the negated negative ones."""
     rs = {name: m.r for name, m in (constants or {}).items()}
-    loop_values: dict[tuple, int] = {}
     terms = []
     for (mus, nus, loops), n in hist.counts.items():
         weights = [weingarten(mu, dim) for mu in mus]
@@ -390,15 +392,11 @@ def read_histogram(hist: Histogram, dim: int,
                     for name, nu in zip(hist.blocks, nus)]
         if hist.summed is None:
             for loop in loops:
-                if loop not in loop_values:
-                    loop_values[loop] = _loop_value(loop, dim, rs)
-                n *= loop_values[loop]
+                n *= _loop_value(loop, dim, rs)
         else:
-            if loops not in loop_values:
-                loop_values[loops] = dim ** loops.count(0) * power_sum_moment(
-                    tuple(m for m in loops if m > 0),
-                    tuple(-m for m in loops if m < 0), dim)
-            n *= loop_values[loops]
+            n *= dim ** loops.count(0) * power_sum_moment(
+                tuple(m for m in loops if m > 0),
+                tuple(-m for m in loops if m < 0), dim)
         den = 1
         for x in weights:
             n *= x.numerator

@@ -15,9 +15,10 @@ Supported variants:
   * FreeProductState        centering recursion: alternating products of
                             centered component elements evaluate to zero
 
-Every variant is tracial with real values (for combinations, tensor and free
-products: Voiculescu-Dykema-Nica, "Free random variables", 1992). Two
-places rely on it: values are memoized on ``algebra.tracial_class``, and
+Every variant is unital, so ``Evaluator._eval`` gives the empty word 1 for
+all of them, and tracial with real values (for combinations, tensor and free
+products: Voiculescu-Dykema-Nica, "Free random variables", 1992). Two places
+rely on the trace: values are memoized on ``algebra.tracial_class``, and
 ``hierarchy.moment_matrix`` evaluates psi(u* t v) as psi(t v u*), once per
 canonical word v u*. A non-tracial state added later must opt out of both.
 Every variant is also invariant under u -> e^{i theta} u for each unitary
@@ -159,8 +160,10 @@ class Evaluator:
         return values[word]
 
     def _eval(self, state: StateSpec, word: Word) -> Fraction:
+        if not word:
+            return Fraction(1)  # every state is unital
         if isinstance(state, CanonicalTrace):
-            return Fraction(0) if word else Fraction(1)
+            return Fraction(0)
         if isinstance(state, HaarTrace):
             return self._eval_haar(state, word)
         if isinstance(state, Combination):
@@ -180,16 +183,12 @@ class Evaluator:
         return self._eval_free(state, word)
 
     def _eval_haar(self, state: HaarTrace, word: Word) -> Fraction:
-        if not word:
-            return Fraction(1)
         atoms, [(n, constants)] = _haar_points(word, self.algebra,
                                                [state.dim])
         return exact_trace_moment(atoms, n, constants, self.budget) / n
 
     def _eval_haar_dims(self, dims: list[int], word: Word) -> list[Fraction]:
         """HaarTrace(dim) of a word for each dim, read from one histogram."""
-        if not word:
-            return [Fraction(1)] * len(dims)
         atoms, points = _haar_points(word, self.algebra, dims)
         hist = weingarten_histogram(atoms, points, self.budget)
         return [read_histogram(hist, n, c) / n for n, c in points]

@@ -10,7 +10,9 @@ character sum over the lam |- |mu| with at most d rows, which
 ``partitions_within`` lists lazily without building a longer partition.
 ``weingarten_table`` computes the factors of each lam once for all mu.
 ``power_sum_moment``, the Haar moment of power sums of one unitary, is the
-same kind of sum with two characters.
+same kind of sum with two characters. ``weingarten``, ``block_weingarten``,
+``power_sum_moment``, ``_signature_schur`` and the characters ``_mn`` are
+process-wide ``lru_cache`` tables of pure values.
 """
 
 from __future__ import annotations
@@ -176,6 +178,7 @@ def _character_sum(mu: Partition,
     return Fraction(sum(_mn(lam, mu) * num for lam, num in nums), den)
 
 
+@lru_cache(maxsize=None)
 def power_sum_moment(mu: Partition, nu: Partition, d: int) -> int:
     """E[p_mu(V) conj p_nu(V)] for Haar V in U(d), where p_mu(V) is the
     product of tr V^m over the parts m of mu: by Schur orthogonality, the

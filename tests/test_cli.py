@@ -481,8 +481,10 @@ class TestSolveCommand:
             monkeypatch.setenv(name, value)
         argv = [command[0], str(bundled_problem_path("chsh")), *command[1:]]
         assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: bad dims list")
+        source = next(iter(env), "--dims")
+        expected = ("error: --dims must be >= 1" if command[-1] == "2,0"
+                    else f"error: bad value for {source}: ','")
+        assert capsys.readouterr().err.splitlines() == [expected]
 
     def test_dims_on_fixed_state_names_the_haar_kinds(self, tmp_path, capsys):
         data = dict(_BUNDLED_DICTS["chsh"], state={"kind": "canonical-trace"})
@@ -492,6 +494,19 @@ class TestSolveCommand:
         assert capsys.readouterr().err.splitlines() == [
             "error: --dims only applies to haar, haar-sequence and "
             "haar-increasing states"]
+
+    @pytest.mark.parametrize("command", [["solve", "--order", "1"],
+                                         ["eval-state", "b1"]])
+    def test_overlapping_free_product_exit_2(self, tmp_path, capsys, command):
+        data = dict(_FREE_PAIRS, state={"kind": "free-product", "components": [
+            {"generators": ["b1", "b2"], "state": {"kind": "canonical-trace"}},
+            {"generators": ["b2", "c1", "c2"],
+             "state": {"kind": "canonical-trace"}}]})
+        path = tmp_path / "overlap.problem"
+        path.write_text(json.dumps(data))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: free-product components must be disjoint"]
 
     def test_zero_tol_solves(self, capsys):
         assert main(["solve", str(bundled_problem_path("chsh")),

@@ -17,7 +17,7 @@ from ncupper.algebra import (AlgebraSpec, GeneratorSpec, tracial_class,
                              words_up_to)
 from ncupper.states import trace_atoms
 from ncupper.symcomb import (block_weingarten, compose, cycle_type, inverse,
-                             weingarten)
+                             power_sum_moment, weingarten)
 
 U = UnitaryAtom
 D = ConstantAtom
@@ -448,6 +448,21 @@ class TestSummedSymbol:
             exact_trace_moment(word, 2, budget=331775)
         hist = haar.weingarten_histogram(word, [(2, None)], budget=331776)
         assert sum(hist.counts.values()) == 576
+
+    def test_reads_take_power_sums_from_the_symcomb_table(self):
+        # a read keeps no memo of its own: a second pass over the same keys
+        # finds every power sum in power_sum_moment's table
+        word = [U("u"), U("v"), U("u", True), U("v", True)] * 3
+        dims = (1, 2, 3)
+        hist = haar.weingarten_histogram(word, [(d, None) for d in dims])
+        assert hist.summed == "u"
+        power_sum_moment.cache_clear()
+        first = [haar.read_histogram(hist, d) for d in dims]
+        misses = power_sum_moment.cache_info().misses
+        assert misses > 0
+        assert [haar.read_histogram(hist, d) for d in dims] == first
+        assert power_sum_moment.cache_info().misses == misses
+        assert first == [_oracle_exact(word, d) for d in dims]
 
     @pytest.mark.parametrize("dim, exact", [(2, Fraction(-2, 15)),
                                             (3, Fraction(1, 3))])

@@ -29,6 +29,19 @@ def chsh_state():
     return TensorProductState(((0, psi), (1, psi)))
 
 
+@pytest.mark.parametrize("state", [
+    CanonicalTrace(), HaarTrace(2),
+    Combination(((Fraction(1, 3), HaarTrace(1)),
+                 (Fraction(2, 3), HaarTrace(3)))),
+    TensorProductState(((0, HaarTrace(2)),)),
+    FreeProductState(((frozenset({"u1"}), HaarTrace(2)),
+                      (frozenset({"u2"}), CanonicalTrace())))],
+    ids=["canonical", "haar", "combination", "tensor", "free-product"])
+def test_every_state_is_unital(unitary_algebra, state):
+    assert evaluate_state(state, Word(), unitary_algebra) == 1
+    assert Evaluator(unitary_algebra)._eval(state, Word()) == 1
+
+
 class TestCanonicalTrace:
     def test_unit(self, herm_algebra):
         assert evaluate_state(CanonicalTrace(), Word(), herm_algebra) == 1
@@ -161,6 +174,17 @@ class TestFreeProduct:
         state = FreeProductState(((frozenset({"u1"}), CanonicalTrace()),))
         with pytest.raises(InputError):
             evaluate_state(state, w(unitary_algebra, "u2"), unitary_algebra)
+
+    def test_overlapping_components_refused(self, unitary_algebra):
+        state = FreeProductState(((frozenset({"u1", "u2"}), CanonicalTrace()),
+                                  (frozenset({"u2"}), CanonicalTrace())))
+        u1 = w(unitary_algebra, "u1")
+        disjoint = "^free-product components must be disjoint$"
+        with pytest.raises(InputError, match=disjoint):
+            evaluate_state(state, u1, unitary_algebra)
+        with pytest.raises(InputError, match=disjoint):
+            moment_matrix(NCPolynomial.scalar(1), state, [Word(), u1],
+                          Evaluator(unitary_algebra))
 
 
 _THREE_UNITARIES = AlgebraSpec(tuple(GeneratorSpec(g, "unitary", 0)
