@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from itertools import islice
-from math import isqrt
+from math import isfinite, isqrt
 
 from . import __version__
 from .algebra import word_str
@@ -63,6 +63,15 @@ def _one_of(*choices: str):
     return parse
 
 
+def _tol(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError
+    if value < 0:
+        raise _TooSmall("must be >= 0")
+    return value
+
+
 def _dims_list(text: str) -> list[int]:
     dims = [int(t) for t in text.split(",") if t.strip()]
     if not dims:
@@ -82,7 +91,7 @@ _BUDGET = ("budget", _int_at_least(0), DEFAULT_BUDGET)
 _SEED = ("seed", _int_at_least(0), 0)
 OPTIONS = {
     "solve": (_ORDER, ("hierarchy", _one_of(*HIERARCHIES), None),
-              _DIMS, ("tol", float, DEFAULT_TOL), _BUDGET, _SEED,
+              _DIMS, ("tol", _tol, DEFAULT_TOL), _BUDGET, _SEED,
               ("out", str, None),
               ("format", _one_of("table", "machine"), "table")),
     "weingarten": (),
@@ -120,6 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
             parser.add_argument(f"--{name}",
                                 metavar=getattr(parse, "metavar", None))
     return top
+
+
+# argparse keeps no state between parses, so one parser serves every main
+PARSER = build_parser()
 
 
 def _parsed(parse, raw: str, source: str):
@@ -269,7 +282,7 @@ def run_eval_state(args):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         _resolve(args)
         {"solve": run_solve, "weingarten": run_weingarten,
          "mc-check": run_mc_check,

@@ -6,11 +6,10 @@ eigenvalue of a self-adjoint polynomial:
   * lambda_d: largest lambda with M_d(f) - lambda * M_d(1) >= 0 over the
     degree-<=d word basis, M_d assembled from the order-d state.
   * eta_d: same pencil on the Hankel matrices of the scalar moments of f.
-Each sequence builds only its exact pencil at order d; the one loop
-``_orders`` times, solves and records every order. Moment entries are exact
-rationals from the run's ``states.Evaluator``, which holds the algebra, the
-budget and the memo that lambda and eta share; floats appear only in the
-eigensolve.
+Each sequence builds only its pencil at order d; the one loop ``_orders``
+times, solves and records every order. Moment entries are exact rationals
+from the run's ``states.Evaluator``, which holds the algebra, the budget and
+the memo that lambda and eta share; floats appear only in the eigensolve.
 
 Only words of unitary charge 0 (``algebra.charge``) are evaluated, since
 every state is 0 on the others (the charge rule of ``states``): cell (u, v)
@@ -18,22 +17,30 @@ of M(f) sums the terms t of f with charge(t) = charge(u) - charge(v), and a
 cell with none is 0. Every state is also tracial, so psi(u* t v) =
 psi(t g) with g the canonical word of v u*: the cells with one g share
 their value, and M(f) evaluates one sum of the words t g per distinct g
-(chsh at order 3: 81 sums for 325 cells). Eta evaluates the charge-0 terms
-of each f^k, built once per run up to K = 2 d_max + 1 and only from the
-terms of f^(k-1) that the remaining factors of f can still bring back to
-charge 0 by f^K, which gives every order the charge-0 terms of the full
-powers. ``WORD_BUDGET`` still counts every (cell, term) pair of a moment
-matrix, n(n+1)/2 * |f|, before the charge filter and the shared cells, and
-for eta the terms of each power as built. Every state is checked on all
-the generators of the basis and f first (``Evaluator.check``), so one that
-refuses them raises before any word is evaluated.
+(chsh at order 3: 81 sums for 325 cells). Where the cells lie is a
+``_Layout``: the canonical g of each basis pair, grouped by g. A lambda run
+owns one and grows it order by order, since the basis of order d is the
+start of that of order d + 1, so M(f) and M(1) of every order share each
+pair's g; ``moment_matrix`` builds one for its basis. Lambda converts each
+group's exact value once, to a float and to the text of its digest, and
+writes it into every cell of the group: a zero cell costs no exact work.
+
+Eta evaluates the charge-0 terms of each f^k, built once per run up to
+K = 2 d_max + 1 and only from the terms of f^(k-1) that the remaining
+factors of f can still bring back to charge 0 by f^K, which gives every
+order the charge-0 terms of the full powers. ``WORD_BUDGET`` still counts
+every (cell, term) pair of a moment matrix, n(n+1)/2 * |f|, before the
+charge filter and the shared cells, and is checked before a layout grows
+to the basis; for eta it counts the terms of each power as built. Every
+state is checked on all the generators of the basis and f first
+(``Evaluator.check``), so one that refuses them raises before any word is
+evaluated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -94,42 +101,105 @@ def moment_matrix(f: NCPolynomial, state: StateSpec, basis: Sequence[Word],
     """M(f) = [phi(u* f v)] over the basis words, exact and symmetric."""
     if not is_self_adjoint(f, ev.algebra):
         raise InputError("moment_matrix requires f = f*")
-    basis = list(basis)
-    if len(set(basis)) != len(basis):
-        raise InputError("basis words must be duplicate-free")
-    n = len(basis)
-    if (words := n * (n + 1) // 2 * len(f.terms)) > WORD_BUDGET:
-        raise BudgetExceededError(
-            f"moment matrix needs {words} word evaluations, over "
-            f"{WORD_BUDGET}")
-    ev.check(state, [*basis, *f.terms])
-    # psi(u* t v) = 0 unless charge(v) = charge(u) - charge(t)
-    charges = [charge(u, ev.algebra) for u in basis]
-    columns: dict[tuple[int, ...], list[int]] = {}  # charge -> j, increasing
-    for j, q in enumerate(charges):
-        columns.setdefault(q, []).append(j)
-    terms: dict[tuple[int, ...], list[tuple[Word, Fraction]]] = {}
-    for w, c in f.terms.items():
-        terms.setdefault(charge(w, ev.algebra), []).append((w, c))
-    cells = []  # (i, j, terms of f that can be nonzero in cell (i, j))
-    for i, qu in enumerate(charges):
-        for qt, ts in terms.items():
-            js = columns.get(tuple(a - b for a, b in zip(qu, qt)), ())
-            cells += ((i, j, ts) for j in js[bisect_left(js, i):])
-    # psi(u* t v) = psi(t g) with g = v u*, so cells share their value by g
-    # (and then share their terms too, as charge(g) picks them)
-    adjoints = [star_word(u) for u in basis]
-    groups: dict[Word, tuple[list, list]] = {}  # g -> (terms, cells)
-    for i, j, ts in cells:
-        g = canonicalize(basis[j] + adjoints[i], ev.algebra)
-        groups.setdefault(g, (ts, []))[1].append((i, j))
-    values = ev.sums(state, (((w + g, c) for w, c in ts)
-                             for g, (ts, _) in groups.items()))
+    terms = _by_charge(f, ev.algebra)
+    layout = _Layout(ev.algebra, terms)
+    layout.grow(basis)
+    ev.check(state, [*layout.basis, *f.terms])
+    n = len(layout.basis)
     entries = [[Fraction(0)] * n for _ in range(n)]
-    for (_, ijs), v in zip(groups.values(), values):
-        for i, j in ijs:
+    for v, cells in layout.groups(terms, state, ev):
+        for i, j in cells:
             entries[i][j] = entries[j][i] = v
-    return MomentMatrix(basis, entries)
+    return MomentMatrix(layout.basis, entries)
+
+
+class _Layout:
+    """Where the cells of moment matrices lie over a basis that only grows:
+    the canonical word g = v u* of each cell (u, v) of the upper triangle
+    whose charge(u) - charge(v) is the charge of some term, with the cells
+    grouped by g. psi(u* t v) = 0 unless charge(t) = charge(u) - charge(v)
+    (the charge rule of ``states``), and psi(u* t v) = psi(t g) for a
+    tracial psi, so a group's cells share one value: the sum of the words
+    t g over the terms t of that charge. A group keeps that charge, so the
+    matrices of all the polynomials a layout is made for read their groups
+    from it. Words of order d + 1 extend the basis of order d
+    (``words_up_to``), so growing adds only the cells of the new words."""
+
+    def __init__(self, algebra: AlgebraSpec, *polys: dict):
+        """polys: the (word, c) terms of each polynomial, by charge."""
+        self.algebra = algebra
+        self.charges = list(dict.fromkeys(q for terms in polys for q in terms))
+        # the most terms of a polynomial, which WORD_BUDGET counts per cell
+        self.width = max(sum(map(len, terms.values())) for terms in polys)
+        self.basis: list[Word] = []
+        self._groups: dict[Word, tuple[tuple[int, ...], list]] = {}
+        self._rows: dict[tuple[int, ...], list[int]] = {}  # charge -> i
+        self._adjoints: list[Word] = []
+
+    def grow(self, basis: Sequence[Word]) -> None:
+        """Extend the layout to a basis that starts with the current one.
+        Refuses a duplicate word, and, before any cell is laid out, a
+        basis of n words whose n(n+1)/2 cells of ``width`` terms each
+        exceed WORD_BUDGET."""
+        old = len(self.basis)
+        if list(basis[:old]) != self.basis:
+            raise ValueError("a layout's basis can only grow")
+        new = list(basis[old:])
+        if len(set(self.basis).union(new)) != old + len(new):
+            raise InputError("basis words must be duplicate-free")
+        n = old + len(new)
+        if (words := n * (n + 1) // 2 * self.width) > WORD_BUDGET:
+            raise BudgetExceededError(
+                f"moment matrix needs {words} word evaluations, over "
+                f"{WORD_BUDGET}")
+        algebra, rows, groups = self.algebra, self._rows, self._groups
+        for j, v in enumerate(new, old):
+            self.basis.append(v)
+            self._adjoints.append(star_word(v))
+            qv = charge(v, algebra)
+            rows.setdefault(qv, []).append(j)
+            # cell (i, j), i <= j, of term charge q has charge(u_i) = qv + q
+            for q in self.charges:
+                for i in rows.get(tuple(a + b for a, b in zip(qv, q)), ()):
+                    g = canonicalize(v + self._adjoints[i], algebra)
+                    groups.setdefault(g, (q, []))[1].append((i, j))
+
+    def groups(self, terms: dict[tuple[int, ...], list], state: StateSpec,
+               ev: Evaluator) -> Iterator[tuple[Fraction, list]]:
+        """(value, cells) of each group of the matrix of the polynomial
+        whose (word, c) terms by charge are given, over the current basis;
+        the cells of no group are 0."""
+        chosen = [(g, ts, cells) for g, (q, cells) in self._groups.items()
+                  if (ts := terms.get(q))]
+        values = ev.sums(state, (((w + g, c) for w, c in ts)
+                                 for g, ts, _ in chosen))
+        return zip(values, (cells for _, _, cells in chosen))
+
+    def pencil_matrix(self, terms: dict[tuple[int, ...], list],
+                      state: StateSpec, ev: Evaluator
+                      ) -> tuple[np.ndarray, str]:
+        """The floats and the digest text (``_rows_source``) of the matrix
+        of ``groups``: each group's value is converted once and written
+        into every cell of the group, and a zero cell costs no exact work."""
+        n = len(self.basis)
+        floats = np.zeros((n, n))
+        text = [["0"] * n for _ in range(n)]
+        for v, cells in self.groups(terms, state, ev):
+            if v:
+                x, s = v.numerator / v.denominator, str(v)
+                for i, j in cells:
+                    floats[i, j] = floats[j, i] = x
+                    text[i][j] = text[j][i] = s
+        return floats, ";".join(map(",".join, text))
+
+
+def _by_charge(p: NCPolynomial, algebra: AlgebraSpec
+               ) -> dict[tuple[int, ...], list[tuple[Word, Fraction]]]:
+    """The (word, c) terms of p by their charge."""
+    terms: dict[tuple[int, ...], list[tuple[Word, Fraction]]] = {}
+    for w, c in p.terms.items():
+        terms.setdefault(charge(w, algebra), []).append((w, c))
+    return terms
 
 
 def scalar_moments(f: NCPolynomial, state: StateSpec, max_power: int,
@@ -205,13 +275,21 @@ def lambda_sequence(f: NCPolynomial, ev: Evaluator, subset: Sequence[str],
                     state_family: StateFamily, d_max: int,
                     tol: float = DEFAULT_TOL) -> HierarchyReport:
     """lambda_d for d = 1..d_max: pencil of M_{G,d}(f) against M_{G,d}(1)
-    under the order-d state."""
+    under the order-d state. One layout, grown order by order, serves both
+    matrices of every order."""
+    if not is_self_adjoint(f, ev.algebra):
+        raise InputError("lambda_sequence requires f = f*")
+    f_terms = _by_charge(f, ev.algebra)
+    one_terms = _by_charge(NCPolynomial.one(), ev.algebra)
+    layout = _Layout(ev.algebra, f_terms, one_terms)
+
     def pencil(d: int):
-        basis = words_up_to(ev.algebra, subset, d)
-        psi = state_family(d)
-        A = moment_matrix(f, psi, basis, ev).entries
-        B = moment_matrix(NCPolynomial.one(), psi, basis, ev).entries
-        return A, B, _sha16(_rows_source(A) + "|" + _rows_source(B))
+        basis, psi = words_up_to(ev.algebra, subset, d), state_family(d)
+        layout.grow(basis)
+        ev.check(psi, [*basis, *f.terms])
+        A, a = layout.pencil_matrix(f_terms, psi, ev)
+        B, b = layout.pencil_matrix(one_terms, psi, ev)
+        return A, B, _sha16(a + "|" + b)
     return _orders(pencil, "lam", d_max, tol)
 
 
@@ -242,15 +320,17 @@ def eta_sequence(f: NCPolynomial, ev: Evaluator, state_family: StateFamily,
 def _orders(pencil: Callable, bound: str, d_max: int,
             tol: float) -> HierarchyReport:
     """Solve pencil(d) = (A, B, digest) for d = 1..d_max, recording the
-    bound under the OrderRecord field named bound. The two sequences' digest
-    formats differ, and bench/references.json pins both."""
+    bound under the OrderRecord field named bound. Lambda's A and B are
+    floats already; eta's are its small exact Hankel matrices, which
+    max_shift converts as float(x), the same rounding. The two sequences'
+    digest formats differ, and bench/references.json pins both."""
     if d_max < 1:
         raise InputError("d_max must be >= 1")
     report = HierarchyReport()
     for d in range(1, d_max + 1):
         t0 = time.perf_counter()
         A, B, digest = pencil(d)
-        pr = max_shift(_to_float(A), _to_float(B), tol)
+        pr = max_shift(A, B, tol)
         report.orders.append(OrderRecord(
             d=d, basis_size=len(A), pencil=pr, **{bound: pr.lam},
             wall_time=time.perf_counter() - t0, pencil_digest=digest))

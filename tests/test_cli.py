@@ -442,8 +442,26 @@ class TestSolveCommand:
         argv = ["solve", str(bundled_problem_path("chsh")), "--order", "1",
                 *flag]
         assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "tol must be finite and >= 0" in err[0]
+        want = {"-1": "error: --tol must be >= 0",
+                "nan": "error: bad value for --tol: 'nan'",
+                "inf": "error: bad value for NCUPPER_TOL: 'inf'"}
+        raw = flag[1] if flag else env["NCUPPER_TOL"]
+        assert capsys.readouterr().err.splitlines() == [want[raw]]
+
+    @pytest.mark.parametrize("argv, env, line", [
+        (["--tol=-inf"], {}, "error: bad value for --tol: '-inf'"),
+        ([], {"NCUPPER_TOL": "-1e-3"}, "error: NCUPPER_TOL must be >= 0")],
+        ids=["flag", "variable"])
+    def test_bad_tol_refused_before_any_work(self, capsys, monkeypatch,
+                                             argv, env, line):
+        def parsed(path):
+            raise AssertionError("the problem was read")
+
+        monkeypatch.setattr(cli, "parse_problem", parsed)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["solve", str(bundled_problem_path("chsh")), *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_solve_negative_seed_exit_2(self, capsys):
         argv = ["solve", str(bundled_problem_path("chsh")), "--seed", "-1"]
@@ -580,6 +598,32 @@ class TestSolveCommand:
         rec = json.loads(out.read_text())
         assert len(rec["orders"]) == 1
         assert "lambda" not in rec["orders"][0]
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # flags, then variables, then neither, in one process: each call
+        # prints what a fresh process prints (the table less its timings)
+        problem = str(bundled_problem_path("reflection"))
+        calls = [
+            (["--order", "1", "--hierarchy", "eta", "--format", "machine"],
+             {}),
+            ([], {"NCUPPER_ORDER": "3", "NCUPPER_HIERARCHY": "lambda",
+                  "NCUPPER_FORMAT": "machine"}),
+            ([], {})]
+        for flags, env in calls:
+            for name in ("NCUPPER_ORDER", "NCUPPER_HIERARCHY",
+                         "NCUPPER_FORMAT"):
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            assert main(["solve", problem, *flags]) == 0
+            got = capsys.readouterr().out.splitlines()
+            fresh = run_cli("solve", problem, *flags, env_extra=env)
+            assert fresh.returncode == 0
+            want = fresh.stdout.splitlines()
+            if not env and not flags:  # table: drop the time_s column
+                got, want = ([line.rsplit(None, 1)[0] for line in lines]
+                             for lines in (got, want))
+            assert got == want
 
     def test_flag_beats_env(self, tmp_path):
         out = tmp_path / "e.json"

@@ -261,6 +261,87 @@ class TestSharedCells:
         assert handed == [[1] * 81, [5] * 81]
 
 
+BUNDLED = ["chsh", "reflection", "free-unitaries", "commutator-example"]
+
+
+class TestLayout:
+    """lambda_sequence grows one cell layout over the run: every order
+    extends the basis of the one before, each admissible basis pair is
+    canonicalized once, and the pencil floats and digest text equal those
+    of fresh moment matrices."""
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_words_up_to_is_prefix_of_next_order(self, name):
+        problem = parse_problem(bundled_problem_path(name))
+        small = words_up_to(problem.algebra, problem.subset, 0)
+        for d in range(1, 5):
+            big = words_up_to(problem.algebra, problem.subset, d)
+            assert big[:len(small)] == small, d
+            small = big
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_pencils_match_fresh_moment_matrices(self, name, monkeypatch):
+        problem = parse_problem(bundled_problem_path(name))
+        f, algebra, family = (problem.objective, problem.algebra,
+                              problem.state_family())
+        pencils, texts = [], []
+        _orders, _sha16 = hierarchy._orders, hierarchy._sha16
+
+        def recorded(pencil, *args):
+            def record(d):
+                pencils.append(pencil(d))
+                return pencils[-1]
+            return _orders(record, *args)
+
+        def hashed(src):
+            texts.append(src)
+            return _sha16(src)
+
+        monkeypatch.setattr(hierarchy, "_orders", recorded)
+        monkeypatch.setattr(hierarchy, "_sha16", hashed)
+        lambda_sequence(f, Evaluator(algebra), problem.subset, family, 3)
+        assert len(pencils) == len(texts) == 3
+        for d, ((A, B, _), text) in enumerate(zip(pencils, texts), 1):
+            basis = words_up_to(algebra, problem.subset, d)
+            mA, mB = (moment_matrix(p, family(d), basis, Evaluator(algebra))
+                      for p in (f, NCPolynomial.one()))
+            assert A.tobytes() == hierarchy._to_float(mA.entries).tobytes()
+            assert B.tobytes() == hierarchy._to_float(mB.entries).tobytes()
+            assert text == (hierarchy._rows_source(mA.entries) + "|"
+                            + hierarchy._rows_source(mB.entries)), d
+
+    @pytest.mark.parametrize("name, calls", [("chsh", 325),
+                                             ("free-unitaries", 241)])
+    def test_each_admissible_pair_canonicalized_once(self, name, calls,
+                                                     monkeypatch):
+        # chsh has no unitary generator, so every pair of its 25 order-3
+        # words is admissible: 325 calls, where one per cell of M(f) and
+        # of M(1) at every order made 862. A free-unitaries pair (u, v) is
+        # admissible when charge(u) - charge(v) is 0 or that of a term
+        problem = parse_problem(bundled_problem_path(name))
+        algebra = problem.algebra
+        words = []
+
+        def counted(word, algebra):
+            words.append(word)
+            return canonicalize(word, algebra)
+
+        monkeypatch.setattr(hierarchy, "canonicalize", counted)
+        lambda_sequence(problem.objective, Evaluator(algebra), problem.subset,
+                        problem.state_family(), 3)
+        basis = words_up_to(algebra, problem.subset, 3)
+        steps = {charge(w, algebra) for w in problem.objective.terms}
+        steps.add(charge((), algebra))
+        adjoints = [star_word(u) for u in basis]
+        admissible = [basis[j] + adjoints[i] for j in range(len(basis))
+                      for i in range(j + 1)
+                      if tuple(a - b for a, b in zip(
+                          charge(basis[i], algebra),
+                          charge(basis[j], algebra))) in steps]
+        assert len(words) == calls
+        assert sorted(words) == sorted(admissible)
+
+
 def _mixed_charge_f(algebra):
     """1/3 + u1 + u2 u1 + u1 u1 u2 + adjoints: terms of |charge|_1 0, 1, 2
     and 3, so f^k keeps words of several sizes near each pruning cut
